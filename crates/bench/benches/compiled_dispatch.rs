@@ -1,25 +1,22 @@
-//! E15 — the flat-code backend vs the tree-walker.
+//! E15 — dispatch cost of the flat-code machine, per tier.
 //!
-//! The tree-walker re-traverses `Rc<Expr>` nodes, hashes variable names
-//! into chunked environments, and scans case alternatives linearly; the
-//! flat backend executes u32-indexed `Copy` ops with slot-resolved
-//! variables and pre-lowered dispatch tables. Same semantics machinery
-//! (stack marks, trimming, GC, interrupt polling) on both sides, so the
-//! difference is pure dispatch-and-lookup overhead.
+//! The machine executes u32-indexed `Copy` ops with slot-resolved
+//! variables and pre-lowered dispatch tables.
 //!
 //! Two groups:
 //!
 //! * `exec` — fib / primes / pipeline (and the rest of the standard
-//!   suite) on a fresh machine per run: `tree` walks the core term,
-//!   `flat` links a pre-lowered `Arc<Code>` and lowers only the query.
+//!   suite) on a fresh machine per run: `flat` links a pre-lowered
+//!   tier-1 `Arc<Code>`, `tier2` the tier-2 image; both lower only the
+//!   query.
 //! * `pool` — end-to-end batch throughput at 4 workers, caching
-//!   disabled, tree vs compiled backend sharing one `Arc<Code>`. On a
-//!   single-CPU host the workers timeshare one core, so this measures
-//!   per-job cost, not parallel speedup.
+//!   disabled, every worker sharing one `Arc<Code>`. On a single-CPU
+//!   host the workers timeshare one core, so this measures per-job
+//!   cost, not parallel speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use urk::{Backend, EvalPool, Options, PoolConfig};
-use urk_bench::{compile, lower, pipeline_workload, run, run_flat, workloads};
+use urk::{EvalPool, Options, PoolConfig};
+use urk_bench::{compile, lower, lower_t2, pipeline_workload, run_flat, workloads};
 use urk_machine::MachineConfig;
 
 fn bench(c: &mut Criterion) {
@@ -34,30 +31,26 @@ fn bench(c: &mut Criterion) {
         suite.push(pipeline_workload());
         for w in suite {
             let compiled = compile(&w);
-            let code = lower(&compiled);
-            // Guard: both executors must produce the expected answer
-            // before either is timed.
-            assert_eq!(run(&compiled, MachineConfig::default()).0, w.expected);
-            assert_eq!(
-                run_flat(&compiled, &code, MachineConfig::default()).0,
-                w.expected
-            );
-
-            group.bench_with_input(BenchmarkId::new("tree", w.name), &compiled, |b, c| {
-                b.iter(|| run(c, MachineConfig::default()))
-            });
-            group.bench_with_input(
-                BenchmarkId::new("flat", w.name),
-                &(&compiled, &code),
-                |b, (c, code)| b.iter(|| run_flat(c, code, MachineConfig::default())),
-            );
+            // Guard: both images must produce the expected answer before
+            // either is timed.
+            for (name, code) in [("flat", lower(&compiled)), ("tier2", lower_t2(&compiled))] {
+                assert_eq!(
+                    run_flat(&compiled, &code, MachineConfig::default()).0,
+                    w.expected
+                );
+                group.bench_with_input(
+                    BenchmarkId::new(name, w.name),
+                    &(&compiled, &code),
+                    |b, (c, code)| b.iter(|| run_flat(c, code, MachineConfig::default())),
+                );
+            }
         }
         group.finish();
     }
 
-    // End-to-end: the serving pool on both backends, cache off so every
-    // job runs a machine. The compiled pool lowers the Prelude once and
-    // shares the image across workers.
+    // End-to-end: the serving pool, cache off so every job runs a
+    // machine. The pool lowers the Prelude once and shares the image
+    // across workers.
     {
         let mut group = c.benchmark_group("compiled_dispatch/pool");
         group
@@ -66,27 +59,20 @@ fn bench(c: &mut Criterion) {
             .measurement_time(std::time::Duration::from_secs(3));
 
         let jobs: Vec<String> = (0..8).map(|i| format!("sum [1 .. {}]", 2000 + i)).collect();
-        for backend in [Backend::Tree, Backend::Compiled] {
-            let pool = EvalPool::start(
-                &[],
-                Options {
-                    backend,
-                    ..Options::default()
-                },
-                PoolConfig {
-                    workers: 4,
-                    cache_cap: 0,
-                    ..PoolConfig::default()
-                },
-            )
-            .expect("pool starts");
-            group.bench_with_input(
-                BenchmarkId::from_parameter(backend.name()),
-                &pool,
-                |b, p| b.iter(|| p.eval_batch(&jobs)),
-            );
-            pool.shutdown();
-        }
+        let pool = EvalPool::start(
+            &[],
+            Options::default(),
+            PoolConfig {
+                workers: 4,
+                cache_cap: 0,
+                ..PoolConfig::default()
+            },
+        )
+        .expect("pool starts");
+        group.bench_with_input(BenchmarkId::from_parameter("compiled"), &pool, |b, p| {
+            b.iter(|| p.eval_batch(&jobs))
+        });
+        pool.shutdown();
         group.finish();
     }
 }

@@ -1,5 +1,5 @@
-//! E6 — §3.3: `raise` is a stack trim. Compared against the §2.2 explicit
-//! encoding, which allocates and pattern-matches a `Bad` cell at every
+//! E6 — §3.3: `raise` is a stack trim (tier-1 image). Compared against
+//! the §2.2 explicit encoding, which allocates and pattern-matches a `Bad` cell at every
 //! level on the way out.
 //!
 //! Expected shape: both are linear in depth (the work to *build* the stack
@@ -33,14 +33,12 @@ fn bench(c: &mut Criterion) {
     // Re-raising a poisoned thunk is O(1) regardless of the original
     // depth (§3.3: the thunk was overwritten with `raise ex`).
     group.bench_function("re-raise-poisoned", |b| {
-        use std::rc::Rc;
-        use urk_machine::{MEnv, Machine};
+        use std::sync::Arc;
+        use urk_machine::{compile_program, Machine};
         use urk_syntax::core::Expr;
         let mut m = Machine::new(MachineConfig::default());
-        let t = m.alloc_thunk(
-            Rc::new(Expr::div(Expr::int(1), Expr::int(0))),
-            MEnv::empty(),
-        );
+        m.link_code(Arc::new(compile_program(&[])));
+        let t = m.alloc_code_thunk(&Expr::div(Expr::int(1), Expr::int(0)));
         let _ = m.eval_node(t, true).expect("first raise");
         b.iter(|| m.eval_node(t, true).expect("re-raise"));
     });

@@ -1,5 +1,7 @@
 //! Regenerates every experiment table deterministically (machine step and
 //! allocation counts rather than wall-clock time), for `EXPERIMENTS.md`.
+//! Every table runs the machine on the tier-1 image unless its columns
+//! say otherwise.
 //!
 //! ```text
 //! cargo run -p urk-bench --bin experiment_report
@@ -37,6 +39,13 @@ fn main() {
         let (got, native) = run(&c, MachineConfig::default());
         assert_eq!(got, w.expected);
         let (_, caught) = run_caught(&c, MachineConfig::default());
+        // §3.3's zero-cost claim: a catch mark that never fires costs no
+        // step at all.
+        assert_eq!(
+            caught.steps, native.steps,
+            "{}: catch mark cost steps",
+            w.name
+        );
         let e = encode(&c);
         let (egot, enc) = run(&e, MachineConfig::default());
         assert_eq!(egot, format!("OK {}", w.expected));
@@ -206,27 +215,20 @@ fn main() {
     // ------------------------------------------------------------------
     println!("## E19 — generational heap: allocations and collection gauges");
     println!();
-    println!("| workload | backend | allocations | unboxed hits | steps | minor gcs | promoted |");
+    println!("| workload | tier | allocations | unboxed hits | steps | minor gcs | promoted |");
     println!("|---|---|---|---|---|---|---|");
     let mut suite = workloads();
     suite.push(pipeline_workload());
     for w in suite {
         let c = compile(&w);
-        let code = lower(&c);
-        let (got, tree) = run(&c, MachineConfig::default());
-        assert_eq!(got, w.expected);
-        let (fgot, flat) = run_flat(&c, &code, MachineConfig::default());
-        assert_eq!(fgot, w.expected);
-        for (backend, s) in [("tree", &tree), ("flat", &flat)] {
+        let (got1, t1) = run_flat(&c, &lower(&c), MachineConfig::default());
+        assert_eq!(got1, w.expected);
+        let (got2, t2) = run_flat(&c, &lower_t2(&c), MachineConfig::default());
+        assert_eq!(got2, w.expected);
+        for (tier, s) in [("1", &t1), ("2", &t2)] {
             println!(
                 "| {} | {} | {} | {} | {} | {} | {} |",
-                w.name,
-                backend,
-                s.allocations,
-                s.unboxed_hits,
-                s.steps,
-                s.minor_gcs,
-                s.nodes_promoted,
+                w.name, tier, s.allocations, s.unboxed_hits, s.steps, s.minor_gcs, s.nodes_promoted,
             );
         }
     }

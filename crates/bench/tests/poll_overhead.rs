@@ -5,8 +5,21 @@
 //! deterministic, so "no overhead" is an equality over `Stats`, not a
 //! noise-bounded timing comparison.
 
-use urk_bench::{compile, run, workloads};
-use urk_machine::{FaultPlan, InterruptHandle, MachineConfig};
+use urk_bench::{compile, workloads, Compiled};
+use urk_machine::{FaultPlan, InterruptHandle, MachineConfig, Stats};
+
+/// `urk_bench::run` with the one wall-clock field (query-lowering time)
+/// cleared, so the comparison covers exactly the deterministic counters.
+fn run(c: &Compiled, config: MachineConfig) -> (String, Stats) {
+    let (rendered, stats) = urk_bench::run(c, config);
+    (
+        rendered,
+        Stats {
+            compile_micros: 0,
+            ..stats
+        },
+    )
+}
 
 #[test]
 fn unarmed_interrupt_handle_changes_no_counter() {

@@ -18,8 +18,7 @@
 //!   semantics-relevant slice of the configuration — evaluation order,
 //!   blackhole mode, budgets, the async event schedule, GC policy, the
 //!   denotational fuel/depth/`unsafeIsException` settings, the render
-//!   depth (the rendered string is part of the cached answer), the
-//!   executing backend (tree-walker vs compiled code), and the
+//!   depth (the rendered string is part of the cached answer), and the
 //!   execution tier (direct lowering vs the analysis-licensed
 //!   superinstruction image). Run-only
 //!   plumbing (the interrupt handle, the chaos plan, and the pure
@@ -37,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use urk_denot::DenotConfig;
-use urk_machine::{Backend, BlackholeMode, MachineConfig, OrderPolicy, Stats, Tier};
+use urk_machine::{BlackholeMode, MachineConfig, OrderPolicy, Stats, Tier};
 use urk_syntax::core::Expr;
 use urk_syntax::{expr_canonical_bytes, fnv1a, Exception};
 
@@ -75,11 +74,10 @@ pub fn cache_key(
     machine: &MachineConfig,
     denot: &DenotConfig,
     render_depth: u32,
-    backend: Backend,
     tier: Tier,
 ) -> CacheKey {
     let expr_bytes = expr_canonical_bytes(expr);
-    let config = config_slice_bytes(machine, denot, render_depth, backend, tier);
+    let config = config_slice_bytes(machine, denot, render_depth, tier);
     let mut all = Vec::with_capacity(expr_bytes.len() + config.len());
     all.extend_from_slice(&expr_bytes);
     all.extend_from_slice(&config);
@@ -97,7 +95,6 @@ fn config_slice_bytes(
     machine: &MachineConfig,
     denot: &DenotConfig,
     render_depth: u32,
-    backend: Backend,
     tier: Tier,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(96);
@@ -129,17 +126,10 @@ fn config_slice_bytes(
     out.extend_from_slice(&denot.max_depth.to_le_bytes());
     out.push(u8::from(denot.pessimistic_is_exception));
     out.extend_from_slice(&render_depth.to_le_bytes());
-    // The backend is part of the key even though both executors must
-    // agree on outcomes: keeping the dimensions separate means a
-    // divergence bug degrades to a duplicated entry, never to one
-    // backend serving the other's (possibly wrong) answer.
-    out.push(match backend {
-        Backend::Tree => 0x01,
-        Backend::Compiled => 0x02,
-    });
-    // Likewise for the execution tier: tier 2 must agree with tier 1 on
-    // every outcome, but keying them apart means a codegen bug degrades
-    // to a duplicated entry instead of cross-tier answer pollution.
+    // The execution tier is part of the key even though tier 2 must
+    // agree with tier 1 on every outcome: keying them apart means a
+    // codegen bug degrades to a duplicated entry instead of cross-tier
+    // answer pollution.
     out.push(match tier {
         Tier::One => 0x01,
         Tier::Two => 0x02,
@@ -404,14 +394,7 @@ mod tests {
                 verify_code: verify,
                 ..MachineConfig::default()
             };
-            cache_key(
-                &e,
-                &machine,
-                &DenotConfig::default(),
-                8,
-                Backend::Compiled,
-                Tier::Two,
-            )
+            cache_key(&e, &machine, &DenotConfig::default(), 8, Tier::Two)
         };
         assert_eq!(mk(false), mk(true));
         let off = crate::session::Options {
@@ -423,8 +406,8 @@ mod tests {
             ..off.clone()
         };
         assert_eq!(
-            cache_key(&e, &off.machine, &off.denot, 8, off.backend, off.tier),
-            cache_key(&e, &on.machine, &on.denot, 8, on.backend, on.tier),
+            cache_key(&e, &off.machine, &off.denot, 8, off.tier),
+            cache_key(&e, &on.machine, &on.denot, 8, on.tier),
         );
     }
 

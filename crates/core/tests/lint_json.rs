@@ -15,6 +15,7 @@
 //! as in the human-readable mode.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use urk_io::{parse_json, Json};
 
@@ -29,10 +30,15 @@ discard = let u = 1 / 0 in 42
 deadHandler = mapException (\\e -> e) 42
 ";
 
+/// Distinguishes the fixture files of tests running in parallel within
+/// one process: a shared path would let one test lint the other's source.
+static FIXTURE_SEQ: AtomicUsize = AtomicUsize::new(0);
+
 fn run_lint_json(src: &str) -> (Json, std::process::ExitStatus) {
     let dir = std::env::temp_dir().join(format!("urk-lint-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let file = dir.join("fixture.urk");
+    let seq = FIXTURE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let file = dir.join(format!("fixture-{seq}.urk"));
     std::fs::write(&file, src).expect("write fixture");
     let out = Command::new(env!("CARGO_BIN_EXE_urk"))
         .arg("lint")

@@ -119,7 +119,7 @@ mod tests {
             ),
             Expr::prim(PrimOp::Div, [Expr::int(7), Expr::int(0)]),
         );
-        let text = render_case(&term, &["check: backend-divergence".into()]);
+        let text = render_case(&term, &["check: tier-divergence".into()]);
         let case = load_case(&text).expect("case must reparse");
         assert_eq!(
             expr_canonical_bytes(&case.query),

@@ -1,9 +1,10 @@
-//! Core lowered to a flat, arena-indexed code format.
+//! Core lowered to a flat, arena-indexed code format — the only form the
+//! machine executes.
 //!
-//! The tree-walking machine interprets `Rc<Expr>` nodes, cloning
-//! refcounted children every step and resolving every variable by
-//! scanning `Symbol` entries in chunked environment frames. This module
-//! compiles a desugared program once into a single flat [`Code`] arena:
+//! Interpreting `Rc<Expr>` trees directly would clone refcounted children
+//! every step and resolve every variable by scanning `Symbol`-keyed
+//! environment frames. This module instead compiles a desugared program
+//! once into a single flat [`Code`] arena:
 //!
 //! * every expression node becomes one `u32`-indexed [`COp`] in a
 //!   contiguous `Vec` — the executor copies a small `Copy` op instead of
@@ -230,7 +231,7 @@ pub struct Code {
     /// Top-level bindings in program order: `(name, rhs entry point)`.
     pub(crate) globals: Vec<(Symbol, CodeId)>,
     /// Name → global-table index (later bindings shadow earlier ones,
-    /// matching the tree machine's environment order).
+    /// as in a recursive `let` group).
     pub(crate) global_index: HashMap<Symbol, u32>,
     /// Ops emitted compiling the program (observability).
     pub(crate) compile_ops: u64,
@@ -380,11 +381,13 @@ impl Code {
     }
 }
 
-/// Verifies one query entry point compiled into `ext` against `base`.
+/// Verifies one entry point compiled into `ext` against `base`, running
+/// under an environment of `depth` slots (0 for a closed query).
 pub(crate) fn verify_query(
     base: &Code,
     ext: &CodeBuf,
     entry: CodeId,
+    depth: u32,
 ) -> Result<(), CodeVerifyError> {
     let view = VerifyView {
         base: &base.buf,
@@ -392,7 +395,7 @@ pub(crate) fn verify_query(
         globals_len: base.globals.len(),
         ic_slots: base.ic_slots,
     };
-    verify_entry(&view, entry, 0)
+    verify_entry(&view, entry, depth)
 }
 
 /// Walks the tree rooted at `entry`, tracking the lexical depth each op
@@ -627,14 +630,13 @@ fn verify_spec(view: &VerifyView<'_>, at: CodeId, body: CodeId) -> Result<(), Co
 ///
 /// # Panics
 ///
-/// Panics on an unbound variable — like the tree machine, which panics
-/// when `MEnv::lookup` misses; the front end guarantees closedness.
+/// Panics on an unbound variable; the front end guarantees closedness.
 pub fn compile_program(binds: &[(Symbol, Rc<Expr>)]) -> Code {
     let t0 = std::time::Instant::now();
     let mut buf = CodeBuf::default();
     let mut global_index: HashMap<Symbol, u32> = HashMap::with_capacity(binds.len());
     for (i, (name, _)) in binds.iter().enumerate() {
-        // Later bindings shadow earlier ones, as in `bind_recursive`.
+        // Later bindings shadow earlier ones, as in a recursive group.
         global_index.insert(*name, i as u32);
     }
     let mut globals = Vec::with_capacity(binds.len());
@@ -676,6 +678,22 @@ pub(crate) fn compile_query(base: &Code, ext: &mut CodeBuf, expr: &Expr) -> (Cod
     };
     let entry = c.compile(expr);
     (entry, (ext.ops.len() - before) as u64)
+}
+
+/// Emits the two-slot application entry `k v` into `ext`: slot 1 (the
+/// outer one) is applied to slot 0. A thunk of this entry under the
+/// environment `[k, v]` is the IO runner's continuation call, so a `>>=`
+/// costs one heap cell and no new code or symbols.
+pub(crate) fn compile_apply_entry(base: &Code, ext: &mut CodeBuf) -> CodeId {
+    let mut c = Compiler {
+        buf: ext,
+        globals: &base.global_index,
+        scope: Vec::new(),
+        bases: base.buf.len_of(),
+    };
+    let f = c.emit(COp::Local(1));
+    let a = c.emit(COp::Local(0));
+    c.emit(COp::App { f, a })
 }
 
 /// The one-pass lowering walk. `scope` is the compile-time mirror of the
@@ -825,7 +843,7 @@ impl Compiler<'_> {
         match &alt.con {
             AltCon::Default => {
                 // A default arm may bind the forced scrutinee (only the
-                // first binder, matching the tree machine's `select`).
+                // first binder).
                 let bind_scrut = !alt.binders.is_empty();
                 if bind_scrut {
                     self.scope.push(alt.binders[0]);
@@ -886,6 +904,9 @@ pub(crate) struct LinkedCode {
     /// (global code refers here by index, so global thunks carry empty
     /// environments).
     pub(crate) global_nodes: Vec<NodeId>,
+    /// The two-slot application entry ([`compile_apply_entry`]), emitted
+    /// into `ext` on first use.
+    pub(crate) apply_entry: Option<CodeId>,
 }
 
 impl LinkedCode {
@@ -894,6 +915,7 @@ impl LinkedCode {
             base,
             ext: CodeBuf::default(),
             global_nodes: Vec::new(),
+            apply_entry: None,
         }
     }
 
@@ -1236,7 +1258,7 @@ mod tests {
             desugar_expr(&parse_expr_src("double 21").expect("parses"), &data).expect("desugars");
         let mut ext = CodeBuf::default();
         let (entry, _) = compile_query(&base, &mut ext, &query);
-        verify_query(&base, &ext, entry).expect("well-formed query");
+        verify_query(&base, &ext, entry, 0).expect("well-formed query");
         // Sabotage the extension: a local in a depth-zero query.
         let at = ext
             .ops
@@ -1244,7 +1266,7 @@ mod tests {
             .position(|op| matches!(op, COp::Global(_)))
             .expect("the call head resolves globally");
         ext.ops[at] = COp::Local(0);
-        let err = verify_query(&base, &ext, entry).expect_err("no slots at depth 0");
+        let err = verify_query(&base, &ext, entry, 0).expect_err("no slots at depth 0");
         assert!(err.message.contains("escapes env depth"), "{err}");
     }
 }

@@ -14,15 +14,17 @@
 //! # Examples
 //!
 //! ```
-//! use std::rc::Rc;
-//! use urk_machine::{Machine, MachineConfig, MEnv, Outcome};
+//! use std::sync::Arc;
+//! use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
 //! use urk_syntax::{parse_expr_src, desugar_expr, DataEnv, Exception};
 //!
 //! let data = DataEnv::new();
 //! let e = desugar_expr(&parse_expr_src("(1/0) + 2")?, &data)?;
 //! let mut m = Machine::new(MachineConfig::default());
+//! // Link a (here empty) program image; queries compile against it.
+//! m.link_code(Arc::new(compile_program(&[])));
 //! // Evaluate under a catch mark, as getException would:
-//! match m.eval(Rc::new(e), &MEnv::empty(), true).expect("no machine error") {
+//! match m.eval_code_expr(&e, true).expect("no machine error") {
 //!     Outcome::Caught(exn) => assert_eq!(exn, Exception::DivideByZero),
 //!     other => panic!("expected a caught exception, got {other:?}"),
 //! }
@@ -44,7 +46,7 @@ pub mod validate;
 pub use chaos::FaultPlan;
 pub use code::{compile_program, Code, CodeVerifyError};
 pub use coverage::{OpCoverage, OPERAND_CLASSES, OP_KINDS, PRIM_OPS};
-pub use env::{CEnv, MEnv};
+pub use env::CEnv;
 pub use heap::{
     AuditFinding, HValue, Heap, HeapAudit, MinorOutcome, Node, NodeId, Whnf, MAX_AUDIT_FINDINGS,
 };
@@ -62,6 +64,7 @@ pub use validate::{validate_tier2, ValidationError, ValidationReport};
 mod tests {
     use super::*;
     use std::rc::Rc;
+    use std::sync::Arc;
     use urk_syntax::core::Expr;
     use urk_syntax::Exception;
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
@@ -71,18 +74,26 @@ mod tests {
         Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars"))
     }
 
-    fn eval_with(config: MachineConfig, src: &str, catch: bool) -> (Machine, Outcome) {
+    /// A machine with an empty program linked: closed queries compile
+    /// against it.
+    fn machine(config: MachineConfig) -> Machine {
         let mut m = Machine::new(config);
+        m.link_code(Arc::new(compile_program(&[])));
+        m
+    }
+
+    fn eval_with(config: MachineConfig, src: &str, catch: bool) -> (Machine, Outcome) {
+        let mut m = machine(config);
         let out = m
-            .eval(core_of(src), &MEnv::empty(), catch)
+            .eval_code_expr(&core_of(src), catch)
             .expect("no machine error");
         (m, out)
     }
 
     fn render(src: &str) -> String {
-        let mut m = Machine::new(MachineConfig::default());
+        let mut m = machine(MachineConfig::default());
         let out = m
-            .eval(core_of(src), &MEnv::empty(), false)
+            .eval_code_expr(&core_of(src), false)
             .expect("no machine error");
         match out {
             Outcome::Value(n) => m.render(n, 16),
@@ -148,15 +159,13 @@ mod tests {
         )
         .expect("desugars");
         let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
-        let e = Rc::new(
-            desugar_expr(
-                &parse_expr_src("zipWith (/) [1, 2] [1, 0]").expect("parses"),
-                &data,
-            )
-            .expect("desugars"),
-        );
-        let out = m.eval(e, &env, false).expect("no machine error");
+        m.link_code(Arc::new(compile_program(&prog.binds)));
+        let e = desugar_expr(
+            &parse_expr_src("zipWith (/) [1, 2] [1, 0]").expect("parses"),
+            &data,
+        )
+        .expect("desugars");
+        let out = m.eval_code_expr(&e, false).expect("no machine error");
         let Outcome::Value(n) = out else {
             panic!("spine is defined")
         };
@@ -186,11 +195,8 @@ mod tests {
     fn trimming_poisons_in_flight_thunks() {
         // Force a shared exceptional thunk twice: the second force must
         // re-raise the same exception without re-evaluating.
-        let mut m = Machine::new(MachineConfig::default());
-        let t = m.alloc_expr(
-            &Rc::new(Expr::div(Expr::int(1), Expr::int(0))),
-            &MEnv::empty(),
-        );
+        let mut m = machine(MachineConfig::default());
+        let t = m.alloc_code_thunk(&Expr::div(Expr::int(1), Expr::int(0)));
         let first = m.eval_node(t, true).expect("no machine error");
         assert!(matches!(first, Outcome::Caught(Exception::DivideByZero)));
         assert_eq!(m.stats().thunks_poisoned, 1);
@@ -298,13 +304,13 @@ mod tests {
 
     #[test]
     fn black_hole_loop_mode_spins_to_the_step_limit() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             blackholes: BlackholeMode::Loop,
             max_steps: 5_000,
             ..MachineConfig::default()
         });
         let e = core_of("let black = black + 1 in black");
-        let r = m.eval(e, &MEnv::empty(), true);
+        let r = m.eval_code_expr(&e, true);
         assert_eq!(r.expect_err("should spin"), MachineError::StepLimit);
     }
 
@@ -318,12 +324,12 @@ mod tests {
 
     #[test]
     fn interrupts_are_delivered_and_thunks_are_resumable() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             event_schedule: vec![(1_000, Exception::Interrupt)],
             ..MachineConfig::default()
         });
         // Make the computation a shared heap node so we can resume it.
-        let work = m.alloc_expr(&slow_expr(), &MEnv::empty());
+        let work = m.alloc_code_thunk(&slow_expr());
         let first = m.eval_node(work, true).expect("no machine error");
         assert!(matches!(first, Outcome::Caught(Exception::Interrupt)));
         assert!(m.stats().thunks_restored >= 1, "{:?}", m.stats());
@@ -338,48 +344,48 @@ mod tests {
 
     #[test]
     fn timeout_on_step_limit_is_an_asynchronous_exception() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             max_steps: 2_000,
             timeout_on_step_limit: true,
             ..MachineConfig::default()
         });
         let out = m
-            .eval(slow_expr(), &MEnv::empty(), true)
+            .eval_code_expr(&slow_expr(), true)
             .expect("timeout is delivered as an exception");
         assert!(matches!(out, Outcome::Caught(Exception::Timeout)));
     }
 
     #[test]
     fn stack_exhaustion_raises_stack_overflow() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             max_stack: 500,
             ..MachineConfig::default()
         });
         // Non-tail recursion grows the evaluation stack.
         let e = core_of("let f = \\n -> 1 + f (n + 1) in f 0");
-        let out = m.eval(e, &MEnv::empty(), true).expect("no machine error");
+        let out = m.eval_code_expr(&e, true).expect("no machine error");
         assert!(matches!(out, Outcome::Caught(Exception::StackOverflow)));
     }
 
     #[test]
     fn heap_exhaustion_raises_heap_overflow() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             max_heap: 2_000,
             ..MachineConfig::default()
         });
         let e = core_of("let f = \\n -> n : f (n + 1) in let len = \\xs -> case xs of { [] -> 0; y:ys -> 1 + len ys } in len (f 0)");
-        let out = m.eval(e, &MEnv::empty(), true).expect("no machine error");
+        let out = m.eval_code_expr(&e, true).expect("no machine error");
         assert!(matches!(out, Outcome::Caught(Exception::HeapOverflow)));
     }
 
     #[test]
     fn uncaught_async_exception_aborts_the_program() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             event_schedule: vec![(500, Exception::Interrupt)],
             ..MachineConfig::default()
         });
         let out = m
-            .eval(slow_expr(), &MEnv::empty(), false)
+            .eval_code_expr(&slow_expr(), false)
             .expect("no machine error");
         assert!(matches!(out, Outcome::Uncaught(Exception::Interrupt)));
     }
@@ -432,7 +438,7 @@ mod tests {
 
     #[test]
     fn map_exception_does_not_catch_async() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             event_schedule: vec![(1_000, Exception::Interrupt)],
             ..MachineConfig::default()
         });
@@ -440,7 +446,7 @@ mod tests {
             r#"mapException (\x -> UserError "remapped")
                  (let f = \n -> if n == 0 then 1 else f (n - 1) in f 100000)"#,
         );
-        let out = m.eval(e, &MEnv::empty(), true).expect("no machine error");
+        let out = m.eval_code_expr(&e, true).expect("no machine error");
         assert!(
             matches!(out, Outcome::Caught(Exception::Interrupt)),
             "async exceptions pass through mapException: {out:?}"
@@ -460,27 +466,27 @@ mod tests {
         // (BlackholeMode::Loop models an implementation without detectable
         // bottoms.)
         let src = "let loop = loop in unsafeIsException ((1/0) + loop)";
-        let mut l2r = Machine::new(MachineConfig {
+        let mut l2r = machine(MachineConfig {
             order: OrderPolicy::LeftToRight,
             blackholes: BlackholeMode::Loop,
             max_steps: 20_000,
             ..MachineConfig::default()
         });
         let out = l2r
-            .eval(core_of(src), &MEnv::empty(), false)
+            .eval_code_expr(&core_of(src), false)
             .expect("terminates");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
         };
         assert_eq!(l2r.render(n, 2), "True");
 
-        let mut r2l = Machine::new(MachineConfig {
+        let mut r2l = machine(MachineConfig {
             order: OrderPolicy::RightToLeft,
             blackholes: BlackholeMode::Loop,
             max_steps: 20_000,
             ..MachineConfig::default()
         });
-        let r = r2l.eval(core_of(src), &MEnv::empty(), false);
+        let r = r2l.eval_code_expr(&core_of(src), false);
         assert_eq!(r.expect_err("diverges"), MachineError::StepLimit);
     }
 
@@ -518,12 +524,12 @@ mod tests {
                        ; go = \\i acc -> if i == 0 then acc
                                          else go (i - 1) (acc + len (mk 50)) }
                    in go 200 0";
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             gc_threshold: 20_000,
             ..MachineConfig::default()
         });
         let out = m
-            .eval(core_of(src), &MEnv::empty(), false)
+            .eval_code_expr(&core_of(src), false)
             .expect("no machine error");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
@@ -563,12 +569,12 @@ mod tests {
 
     #[test]
     fn unboxed_values_are_shared_across_evaluations_and_survive_gc() {
-        let mut m = Machine::new(MachineConfig::default());
+        let mut m = machine(MachineConfig::default());
         let a = m
-            .eval(core_of("1 + 2"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("1 + 2"), false)
             .expect("no machine error");
         let b = m
-            .eval(core_of("5 - 2"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("5 - 2"), false)
             .expect("no machine error");
         let (Outcome::Value(a), Outcome::Value(b)) = (a, b) else {
             panic!("expected values")
@@ -583,7 +589,7 @@ mod tests {
         m.collect_with(&[]);
         assert_eq!(m.render(a, 4), "3");
         let t = m
-            .eval(core_of("1 == 1"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("1 == 1"), false)
             .expect("no machine error");
         let Outcome::Value(t) = t else {
             panic!("expected a value")
@@ -597,11 +603,11 @@ mod tests {
         // word itself: a fresh machine has an *empty* heap (the PR 1
         // intern pool is gone), and arithmetic over small ints produces an
         // immediate result, not a cell.
-        let mut m = Machine::new(MachineConfig::default());
+        let mut m = machine(MachineConfig::default());
         assert_eq!(m.heap().len(), 0);
         assert_eq!(m.stats().allocations, 0);
         let out = m
-            .eval(core_of("(1 + 2) * 4"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("(1 + 2) * 4"), false)
             .expect("no machine error");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
@@ -619,14 +625,14 @@ mod tests {
         let src = "let { mk = \\n -> if n == 0 then [] else n : mk (n - 1)
                        ; len = \\xs -> case xs of { [] -> 0; y:ys -> 1 + len ys } }
                    in len (mk 400)";
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             gc_threshold: 2_000,
             nursery_size: 256,
             ..MachineConfig::default()
         });
         let run = |m: &mut Machine| {
             let out = m
-                .eval(core_of(src), &MEnv::empty(), false)
+                .eval_code_expr(&core_of(src), false)
                 .expect("no machine error");
             let Outcome::Value(n) = out else {
                 panic!("{out:?}")
@@ -658,16 +664,14 @@ mod tests {
             gc_threshold: 1_000,
             ..MachineConfig::default()
         });
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
+        m.link_code(Arc::new(compile_program(&prog.binds)));
         // Churn to force collections, then use the program again.
         let churn = core_of("let f = \\n -> if n == 0 then 0 else f (n - 1) in f 20000");
-        let _ = m.eval(churn, &MEnv::empty(), false).expect("ok");
+        let _ = m.eval_code_expr(&churn, false).expect("ok");
         assert!(m.stats().gc_runs >= 1);
-        let e = Rc::new(
-            desugar_expr(&parse_expr_src("ten + double 100").expect("parses"), &data)
-                .expect("desugars"),
-        );
-        let out = m.eval(e, &env, false).expect("ok");
+        let e = desugar_expr(&parse_expr_src("ten + double 100").expect("parses"), &data)
+            .expect("desugars");
+        let out = m.eval_code_expr(&e, false).expect("ok");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
         };
@@ -676,15 +680,14 @@ mod tests {
 
     #[test]
     fn gc_can_be_disabled() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             gc: false,
             gc_threshold: 100,
             ..MachineConfig::default()
         });
         let out = m
-            .eval(
-                core_of("let f = \\n -> if n == 0 then 7 else f (n - 1) in f 5000"),
-                &MEnv::empty(),
+            .eval_code_expr(
+                &core_of("let f = \\n -> if n == 0 then 7 else f (n - 1) in f 5000"),
                 false,
             )
             .expect("ok");
@@ -701,7 +704,7 @@ mod tests {
         );
         assert!(m.stats().allocations > 0);
         assert!(m.stats().max_stack_depth >= 2);
-        let mut m2 = Machine::new(MachineConfig::default());
+        let mut m2 = machine(MachineConfig::default());
         m2.reset_stats();
         assert_eq!(m2.stats().steps, 0);
     }

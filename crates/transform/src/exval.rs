@@ -262,7 +262,8 @@ fn encode_prim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+    use std::sync::Arc;
+    use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 
     fn program(src: &str) -> CoreProgram {
@@ -273,10 +274,9 @@ mod tests {
     fn run_with_program(prog: &CoreProgram, expr: &str) -> (String, urk_machine::Stats) {
         let data = DataEnv::new();
         let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
-        let e =
-            Rc::new(desugar_expr(&parse_expr_src(expr).expect("parses"), &data).expect("desugars"));
-        let out = m.eval(e, &env, false).expect("no machine error");
+        m.link_code(Arc::new(compile_program(&prog.binds)));
+        let e = desugar_expr(&parse_expr_src(expr).expect("parses"), &data).expect("desugars");
+        let out = m.eval_code_expr(&e, false).expect("no machine error");
         let rendered = match out {
             Outcome::Value(n) => m.render(n, 16),
             Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
@@ -362,9 +362,9 @@ mod tests {
         let encoded_query = encode_expr(&query, &known).expect("first-order query");
 
         let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&enc.binds, &MEnv::empty());
+        m.link_code(Arc::new(compile_program(&enc.binds)));
         let out = m
-            .eval(Rc::new(encoded_query), &env, false)
+            .eval_code_expr(&encoded_query, false)
             .expect("no machine error");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")

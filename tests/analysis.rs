@@ -6,12 +6,12 @@
 //! expression's set is — must be inside the statically predicted set.
 //! This file enforces that differentially:
 //!
-//! * over the soundness corpus, on both backends and both deterministic
+//! * over the soundness corpus, at both tiers and both deterministic
 //!   order policies: denoted set ⊆ predicted set, and every machine
 //!   representative ∈ predicted set;
-//! * over ≥256 vendored-proptest random core terms, machine-checked on
-//!   the tree and compiled executors (the compiled runs also pass every
-//!   arena through `Code::verify`, which panics in debug builds on any
+//! * over ≥256 vendored-proptest random core terms, machine-checked
+//!   under every order policy (the runs also pass every arena through
+//!   `Code::verify`, which panics in debug builds on any
 //!   structural defect — so this battery doubles as the verifier's
 //!   accept-side property);
 //! * the analysis-licensed optimizer rewrites fire on programs built to
@@ -25,10 +25,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use urk::{Backend, Session};
+use urk::{Session, Tier};
 use urk_analysis::analyze_program;
 use urk_denot::{Denot, DenotEvaluator, ExnSet};
-use urk_machine::{compile_program, MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{DataEnv, Symbol};
 
@@ -85,15 +85,15 @@ fn assert_subset(smaller: &ExnSet, bigger: &ExnSet, ctx: &str) {
 }
 
 /// Predicted sets over-approximate the denotation and cover every
-/// machine representative, for the whole corpus, on both backends and
-/// both deterministic order policies.
+/// machine representative, for the whole corpus, at both tiers and both
+/// deterministic order policies.
 #[test]
 fn corpus_predictions_cover_denotation_and_both_backends() {
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        for backend in [Backend::Tree, Backend::Compiled] {
+        for tier in [Tier::One, Tier::Two] {
             let mut session = Session::new();
             session.options.machine.order = order;
-            session.options.backend = backend;
+            session.options.tier = tier;
             for src in CORPUS {
                 let predicted = session.predicted_exceptions(src).expect("analyzes");
                 if let Some(denoted) = session.exception_set(src).expect("denotes") {
@@ -103,8 +103,8 @@ fn corpus_predictions_cover_denotation_and_both_backends() {
                 if let Some(exn) = &out.exception {
                     assert!(
                         predicted.contains(exn),
-                        "{src}: {} machine raised {exn} outside the predicted set {predicted}",
-                        backend.name(),
+                        "{src}: tier {} machine raised {exn} outside the predicted set {predicted}",
+                        tier.name(),
                     );
                 }
             }
@@ -120,9 +120,9 @@ fn loaded_programs_keep_predictions_conservative() {
                    useIt a b = case safeDiv a b of { OK v -> v; Bad ex -> 0 - 1 }\n\
                    sumTo n = if n == 0 then 0 else n + sumTo (n - 1)\n\
                    partial m = case m of { Just x -> x }";
-    for backend in [Backend::Tree, Backend::Compiled] {
+    for tier in [Tier::One, Tier::Two] {
         let mut session = Session::new();
-        session.options.backend = backend;
+        session.options.tier = tier;
         session.load(program).expect("loads");
         for src in [
             "useIt 10 2",
@@ -295,23 +295,15 @@ fn gen_int(depth: u32, scope: Vec<Symbol>) -> BoxedStrategy<Expr> {
     .boxed()
 }
 
-fn machine_exception(
-    e: &Rc<Expr>,
-    compiled: bool,
-    policy: OrderPolicy,
-) -> Option<urk_syntax::Exception> {
+fn machine_exception(e: &Rc<Expr>, policy: OrderPolicy) -> Option<urk_syntax::Exception> {
     let mut m = Machine::new(MachineConfig {
         order: policy,
         ..MachineConfig::default()
     });
-    let out = if compiled {
-        // In debug builds the link/compile hooks also run `Code::verify`
-        // over the base arena and every query extension.
-        m.link_code(Arc::new(compile_program(&[])));
-        m.eval_code_expr(e, true).expect("terminates")
-    } else {
-        m.eval(e.clone(), &MEnv::empty(), true).expect("terminates")
-    };
+    // In debug builds the link/compile hooks also run `Code::verify` over
+    // the base arena and every query extension.
+    m.link_code(Arc::new(compile_program(&[])));
+    let out = m.eval_code_expr(e, true).expect("terminates");
     match out {
         Outcome::Caught(e) | Outcome::Uncaught(e) => Some(e),
         Outcome::Value(_) => None,
@@ -323,8 +315,7 @@ proptest! {
 
     /// The headline soundness property, ≥256 random closed terms: the
     /// statically predicted set contains the denoted set and whatever
-    /// representative either backend raises, under both deterministic
-    /// order policies.
+    /// representative the machine raises, under every order policy.
     #[test]
     fn random_terms_stay_inside_the_predicted_set(e in gen_int(4, vec![])) {
         let data = DataEnv::new();
@@ -346,15 +337,12 @@ proptest! {
             }
         }
 
-        for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-            for compiled in [false, true] {
-                if let Some(exn) = machine_exception(&e, compiled, policy) {
-                    prop_assert!(
-                        predicted.contains(&exn),
-                        "{} machine raised {exn} outside the predicted set {predicted}",
-                        if compiled { "compiled" } else { "tree" },
-                    );
-                }
+        for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft, OrderPolicy::Seeded(11)] {
+            if let Some(exn) = machine_exception(&e, policy) {
+                prop_assert!(
+                    predicted.contains(&exn),
+                    "machine ({policy:?}) raised {exn} outside the predicted set {predicted}",
+                );
             }
         }
     }

@@ -1,29 +1,28 @@
-//! The compiled-backend differential battery: the flat-code executor must
-//! be observationally indistinguishable from the tree-walker on every
-//! corpus the repo already trusts, and both must stay inside the
-//! denotational exception set (§4.5 refinement).
+//! The machine's differential battery against the denotational
+//! semantics: the flat-code machine must refine the denotation on every
+//! corpus the repo already trusts (§4.5 refinement). Tier 1 vs tier 2
+//! under the same order is `tests/tier2.rs`'s battery.
 //!
 //! Four layers of evidence:
 //!
-//! * the soundness corpus and the paper's worked examples evaluate to
-//!   byte-identical renderings and identical representative exceptions on
-//!   both backends, under both deterministic order policies;
-//! * every exceptional outcome — from either backend — is a member of the
-//!   denoted set, so agreement is not two matching wrong answers;
+//! * the soundness corpus and the paper's worked examples evaluate, under
+//!   both deterministic order policies, to the denoted value — or to a
+//!   representative exception that is a member of the denoted set;
+//! * the same holds through an evaluation pool sharing one image;
 //! * the chaos corpus holds §5.1's invariants (soundness under injected
-//!   faults, clean heap audit, oracle-consistent re-eval) when the faulted
-//!   machine is executing flat code;
-//! * vendored-proptest random well-typed core terms agree compiled vs
-//!   tree-walked at the machine level, with denot-set membership.
+//!   faults, clean heap audit, oracle-consistent re-eval);
+//! * vendored-proptest random well-typed core terms refine their
+//!   denotation at the machine level under every order policy, and each
+//!   policy's choice is deterministic.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use urk::{Backend, EvalPool, Options, PoolConfig, Session};
+use urk::{EvalPool, EvalResult, Options, PoolConfig, Session};
 use urk_denot::{Denot, DenotEvaluator};
-use urk_machine::{compile_program, MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, Expr, PrimOp};
 use urk_syntax::{DataEnv, Symbol};
 
@@ -101,61 +100,76 @@ const CHAOS_PROGRAMS: &[(&str, &str)] = &[
     ),
 ];
 
-/// A tree session and a compiled session with identical options.
-fn backend_pair(order: OrderPolicy) -> (Session, Session) {
-    let mut tree = Session::new();
-    tree.options.machine.order = order;
-    let mut compiled = Session::new();
-    compiled.options.machine.order = order;
-    compiled.options.backend = Backend::Compiled;
-    (tree, compiled)
+/// A session with the given order policy.
+fn session(order: OrderPolicy) -> Session {
+    let mut s = Session::new();
+    s.options.machine.order = order;
+    s
 }
 
-/// Asserts the two sessions agree on `src`, and that any exceptional
-/// outcome is a member of the denoted set.
-fn assert_agree(tree: &Session, compiled: &Session, src: &str) {
-    let a = tree
-        .eval(src)
-        .unwrap_or_else(|e| panic!("{src}: tree: {e}"));
-    let b = compiled
-        .eval(src)
-        .unwrap_or_else(|e| panic!("{src}: compiled: {e}"));
-    assert_eq!(a.rendered, b.rendered, "{src}: rendered outcome diverged");
-    assert_eq!(
-        a.exception, b.exception,
-        "{src}: representative exception diverged"
-    );
-    assert_eq!(b.stats.backend.name(), "compiled", "{src}");
-    if let Some(exn) = &b.exception {
-        let set = compiled
-            .exception_set(src)
-            .expect("denotes")
-            .unwrap_or_else(|| panic!("{src}: machine raised {exn} but the denotation is Ok"));
-        assert!(
-            set.contains(exn),
-            "{src}: compiled chose {exn} outside the denoted set {set}"
-        );
+/// Machine and oracle spell buried exceptional fields differently
+/// (`raise {...}` vs `Bad {...}`); compare spines only in that case, full
+/// renderings otherwise — the same normalization the chaos driver and the
+/// fuzz oracle use.
+fn renders_agree(machine: &str, denot: &str) -> bool {
+    if denot.contains("Bad {") {
+        machine.split_whitespace().next() == denot.split_whitespace().next()
+    } else {
+        machine == denot.replace("(Bad {", "(raise {")
     }
+}
+
+/// Asserts that one machine result refines the denotation of `src`: an
+/// exception is a member of the denoted set, a value is the denoted one.
+fn assert_refines(session: &Session, src: &str, r: &EvalResult) {
+    match &r.exception {
+        Some(exn) => {
+            let set = session
+                .exception_set(src)
+                .expect("denotes")
+                .unwrap_or_else(|| panic!("{src}: machine raised {exn} but the denotation is Ok"));
+            assert!(
+                set.contains(exn),
+                "{src}: machine chose {exn} outside the denoted set {set}"
+            );
+        }
+        None => {
+            let oracle = session.denot_show(src, 32).expect("denotes");
+            assert!(
+                renders_agree(&r.rendered, &oracle),
+                "{src}: machine value {} disagrees with the denotation {oracle}",
+                r.rendered
+            );
+        }
+    }
+}
+
+/// Evaluates `src` on the session's machine and checks it refines the
+/// denotation.
+fn assert_evaluates_soundly(session: &Session, src: &str) {
+    let r = session.eval(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    assert_eq!(r.stats.backend.name(), "compiled", "{src}");
+    assert_refines(session, src, &r);
 }
 
 #[test]
 fn the_soundness_corpus_agrees_under_both_order_policies() {
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        let (tree, compiled) = backend_pair(order);
+        let s = session(order);
         for src in CORPUS {
-            assert_agree(&tree, &compiled, src);
+            assert_evaluates_soundly(&s, src);
         }
     }
 }
 
 #[test]
 fn the_chaos_corpus_agrees_when_evaluated_normally() {
-    let (tree, compiled) = backend_pair(OrderPolicy::LeftToRight);
-    for (name, src) in CHAOS_PROGRAMS {
-        let a = tree.eval(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let b = compiled.eval(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(a.rendered, b.rendered, "{name}");
-        assert_eq!(a.exception, b.exception, "{name}");
+    let mut s = session(OrderPolicy::LeftToRight);
+    // The chaos corpus recurses a few hundred levels deep; give the
+    // denotational oracle the same depth guard the chaos driver uses.
+    s.options.denot.max_depth = 2_000;
+    for (_, src) in CHAOS_PROGRAMS {
+        assert_evaluates_soundly(&s, src);
     }
 }
 
@@ -166,30 +180,30 @@ fn paper_example_programs_agree_through_loaded_definitions() {
     let program = "safeDiv a b = if b == 0 then Bad DivideByZero else OK (a / b)\n\
                    useIt a b = case safeDiv a b of { OK v -> v; Bad ex -> 0 - 1 }\n\
                    sumTo n = if n == 0 then 0 else n + sumTo (n - 1)";
-    let (mut tree, mut compiled) = backend_pair(OrderPolicy::LeftToRight);
-    tree.load(program).expect("loads");
-    compiled.load(program).expect("loads");
-    for src in [
-        "useIt 10 2",
-        "useIt 10 0",
-        "sumTo 100",
-        "zipWith (+) [] [1]",
-        "zipWith (+) [1] [1, 2]",
-        "zipWith (/) [1, 2] [1, 0]",
-        "seq (zipWith (/) [1] [0]) 5",
-        "seq (forceList (zipWith (/) [1] [0])) 5",
-        "take 5 (iterate (\\x -> x * 2) 1)",
-        "head []",
-        "map (\\x -> x * x) [1, 2, 3]",
-    ] {
-        assert_agree(&tree, &compiled, src);
+    for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
+        let mut s = session(order);
+        s.load(program).expect("loads");
+        for src in [
+            "useIt 10 2",
+            "useIt 10 0",
+            "sumTo 100",
+            "zipWith (+) [] [1]",
+            "zipWith (+) [1] [1, 2]",
+            "zipWith (/) [1, 2] [1, 0]",
+            "seq (zipWith (/) [1] [0]) 5",
+            "seq (forceList (zipWith (/) [1] [0])) 5",
+            "take 5 (iterate (\\x -> x * 2) 1)",
+            "head []",
+            "map (\\x -> x * x) [1, 2, 3]",
+        ] {
+            assert_evaluates_soundly(&s, src);
+        }
     }
 }
 
 #[test]
 fn the_chaos_corpus_holds_the_invariants_on_the_compiled_backend() {
-    let mut session = Session::new();
-    session.options.backend = Backend::Compiled;
+    let session = Session::new();
     let mut injected_runs = 0u32;
     let mut runs = 0u32;
     for (name, src) in CHAOS_PROGRAMS {
@@ -228,8 +242,7 @@ fn the_chaos_corpus_holds_the_invariants_on_the_compiled_backend() {
 
 #[test]
 fn first_compiled_eval_pays_for_lowering_and_later_ones_do_not() {
-    let mut session = Session::new();
-    session.options.backend = Backend::Compiled;
+    let session = Session::new();
     let first = session.eval("1 + 2").expect("evals");
     assert!(
         first.stats.compile_ops > 0 && first.stats.compile_micros > 0,
@@ -254,35 +267,35 @@ fn pools_on_both_backends_agree_with_one_shared_image() {
         .map(|i| format!("double (square {i}) + {i}"))
         .chain(["zipWith (/) [1, 2] [1, 0]".to_string(), "1/0".to_string()])
         .collect();
-    let run = |backend| {
-        let pool = EvalPool::start(
-            sources,
-            Options {
-                backend,
-                ..Options::default()
-            },
-            PoolConfig {
-                workers: 3,
-                cache_cap: 64,
-                ..PoolConfig::default()
-            },
-        )
-        .expect("pool starts");
-        pool.eval_batch(&exprs)
-    };
-    let tree = run(Backend::Tree);
-    let compiled = run(Backend::Compiled);
-    for ((src, a), b) in exprs.iter().zip(&tree).zip(&compiled) {
-        let a = a.as_ref().expect("tree evals");
-        let b = b.as_ref().expect("compiled evals");
+    let pool = EvalPool::start(
+        sources,
+        Options::default(),
+        PoolConfig {
+            workers: 3,
+            cache_cap: 64,
+            ..PoolConfig::default()
+        },
+    )
+    .expect("pool starts");
+    let pooled = pool.eval_batch(&exprs);
+    // Every worker links the probe's image; each answer must match a
+    // direct evaluation byte for byte and refine the denotation.
+    let mut direct = Session::new();
+    for src in sources {
+        direct.load(src).expect("loads");
+    }
+    for (src, a) in exprs.iter().zip(&pooled) {
+        let a = a.as_ref().expect("pool evals");
+        let b = direct.eval(src).expect("evals");
         assert_eq!(a.rendered, b.rendered, "{src}");
         assert_eq!(a.exception, b.exception, "{src}");
-        assert_eq!(b.stats.backend.name(), "compiled", "{src}");
+        assert_eq!(a.stats.backend.name(), "compiled", "{src}");
+        assert_refines(&direct, src, &b);
     }
 }
 
 // ----------------------------------------------------------------------
-// Random well-typed terms, compiled vs tree-walked at the machine level.
+// Random well-typed terms, machine vs denotation.
 // ----------------------------------------------------------------------
 
 const POOL: [&str; 4] = ["pa", "pb", "pc", "pd"];
@@ -380,19 +393,6 @@ fn render_outcome(m: &mut Machine, out: Outcome) -> String {
     }
 }
 
-fn tree_result(e: &Rc<Expr>, policy: OrderPolicy) -> (String, Option<urk_syntax::Exception>) {
-    let mut m = Machine::new(MachineConfig {
-        order: policy,
-        ..MachineConfig::default()
-    });
-    let out = m.eval(e.clone(), &MEnv::empty(), true).expect("terminates");
-    let exn = match &out {
-        Outcome::Caught(e) | Outcome::Uncaught(e) => Some(e.clone()),
-        Outcome::Value(_) => None,
-    };
-    (render_outcome(&mut m, out), exn)
-}
-
 fn compiled_result(e: &Rc<Expr>, policy: OrderPolicy) -> (String, Option<urk_syntax::Exception>) {
     let mut m = Machine::new(MachineConfig {
         order: policy,
@@ -410,28 +410,29 @@ fn compiled_result(e: &Rc<Expr>, policy: OrderPolicy) -> (String, Option<urk_syn
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The tentpole's validation property: for random well-typed terms
-    /// and every deterministic order policy, the compiled executor and
-    /// the tree-walker produce identical outcomes, and any exception is
-    /// inside the denoted set.
+    /// The validation property: for random well-typed terms and every
+    /// order policy, the machine's outcome refines the denotation (a
+    /// value is the denoted integer, an exception a member of the set),
+    /// and re-running under the same policy reproduces it exactly.
     #[test]
-    fn compiled_execution_agrees_with_the_tree_walker(e in gen_int(4, Vec::new())) {
+    fn compiled_execution_refines_the_denotation(e in gen_int(4, Vec::new())) {
         let e = Rc::new(e);
         let data = DataEnv::new();
         let denot = DenotEvaluator::new(&data).eval_closed(&e);
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft, OrderPolicy::Seeded(11)] {
-            let (tr, te) = tree_result(&e, policy);
-            let (cr, ce) = compiled_result(&e, policy);
-            prop_assert_eq!(&tr, &cr, "rendered outcome diverged under {:?}", policy);
-            prop_assert_eq!(&te, &ce, "exception diverged under {:?}", policy);
-            if let Some(exn) = &ce {
-                let Denot::Bad(set) = &denot else {
-                    return Err(TestCaseError::fail(format!(
-                        "machine raised {exn} but the denotation is Ok"
-                    )));
-                };
-                prop_assert!(set.contains(exn),
-                    "compiled chose {} outside the denoted set {}", exn, set);
+            let (rendered, exn) = compiled_result(&e, policy);
+            prop_assert_eq!(
+                (&rendered, &exn),
+                (&compiled_result(&e, policy).0, &compiled_result(&e, policy).1),
+                "non-deterministic under {:?}", policy
+            );
+            match (&denot, &exn) {
+                (Denot::Bad(set), Some(exn)) => prop_assert!(set.contains(exn),
+                    "machine chose {} outside the denoted set {}", exn, set),
+                (Denot::Ok(urk_denot::Value::Int(n)), None) => {
+                    prop_assert_eq!(&rendered, &n.to_string(), "under {:?}", policy);
+                }
+                (d, o) => prop_assert!(false, "layer mismatch: {:?} vs {:?}", d, o),
             }
         }
     }

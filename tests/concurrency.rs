@@ -2,6 +2,8 @@
 //! round-robin scheduler, and how imprecise exceptions interact with
 //! threads.
 
+mod io_diff;
+
 use urk::{Exception, IoResult, Session};
 use urk_io::ThreadResult;
 
@@ -19,7 +21,7 @@ main = do
   return t"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     // One action per quantum: outputs strictly alternate while both live
     // (the forked thread enters the ready queue ahead of the re-enqueued
     // main thread, so it goes first).
@@ -38,7 +40,7 @@ fn forked_thread_exception_does_not_kill_main() {
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "main survived");
     assert!(matches!(out.main, IoResult::Done(_)));
     // The forked thread died on DivideByZero and is recorded.
@@ -64,7 +66,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "thread recovered");
 }
 
@@ -88,7 +90,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     // Both threads must report the same member (poisoning).
     let o = out.trace.output();
     assert!(
@@ -109,7 +111,7 @@ main = do
   return 99"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert!(matches!(out.main, IoResult::Done(ref v) if v == "99"));
     assert!(out
         .threads
@@ -130,7 +132,7 @@ fn fork_returns_distinct_thread_ids_and_traces_them() {
   return (a, b)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert!(matches!(out.main, IoResult::Done(ref v) if v == "Pair 1 2"));
     let forks: Vec<String> = out
         .trace
@@ -186,7 +188,7 @@ fn mvar_take_put_round_trip_single_thread() {
   putStr (showInt w)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "42");
 }
 
@@ -207,7 +209,7 @@ main = do
   consume m 4"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     // One-slot channel: values arrive in order.
     assert_eq!(out.trace.output(), "4321");
     assert!(matches!(out.main, IoResult::Done(_)));
@@ -224,7 +226,7 @@ fn take_blocks_until_another_thread_puts() {
   putStr (showInt v)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "7");
 }
 
@@ -233,7 +235,7 @@ fn blocked_forever_is_reported_like_ghc() {
     let mut s = Session::new();
     s.load("main = newEmptyMVar >>= \\m -> takeMVar m")
         .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert!(matches!(
         out.main,
         IoResult::Uncaught(Exception::BlockedIndefinitely)
@@ -252,7 +254,7 @@ fn put_blocks_on_a_full_mvar() {
   putStr (showInt v)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     // Main's put blocks until the forked take empties the cell.
     assert_eq!(out.trace.output(), "12");
 }
@@ -276,7 +278,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     // Whoever takes the lock first prints both its characters before the
     // other enters.
     let o = out.trace.output();
@@ -295,7 +297,7 @@ fn prelude_mvar_helpers() {
   putStr (showInt (v + w + 2))"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "82");
 }
 
@@ -313,9 +315,15 @@ main = do
   putStr (showInt total)"#,
     )
     .expect("loads");
-    let before = s.run_main_concurrent("").expect("runs").trace.output();
+    let before = io_diff::run_main_concurrent(&mut s, "")
+        .expect("runs")
+        .trace
+        .output();
     s.optimize().expect("optimizes");
-    let after = s.run_main_concurrent("").expect("runs").trace.output();
+    let after = io_diff::run_main_concurrent(&mut s, "")
+        .expect("runs")
+        .trace
+        .output();
     assert_eq!(before, after);
     assert_eq!(after, "15");
 }
@@ -340,7 +348,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert!(out.trace.output().ends_with("done"));
     assert!(out.threads.iter().any(|(tid, r)| {
         *tid == 1 && matches!(r, ThreadResult::Uncaught(Exception::UserError(_)))
@@ -367,7 +375,7 @@ main = do
   putStr (showInt r)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "1", "{}", out.trace);
 }
 
@@ -386,7 +394,7 @@ fn throw_to_wakes_a_blocked_thread() {
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = io_diff::run_main_concurrent(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "main done");
     assert!(out
         .threads

@@ -5,9 +5,10 @@
 //! stranded black holes: the §5.1 restore reached every in-flight thunk).
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use urk::{Exception, IoResult, Session};
-use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
 
 fn small_heap_session() -> Session {
@@ -103,9 +104,8 @@ fn no_black_hole_survives_an_interrupted_episode() {
             gc_threshold: 500,
             ..MachineConfig::default()
         });
-        let out = m
-            .eval(core.clone(), &MEnv::empty(), true)
-            .expect("within limits");
+        m.link_code(Arc::new(compile_program(&[])));
+        let out = m.eval_code_expr(&core, true).expect("within limits");
         let audit = m.audit_heap();
         assert_eq!(
             audit.blackholes, 0,
@@ -137,24 +137,27 @@ fn re_evaluation_after_interruption_agrees_with_the_denotational_oracle() {
     let oracle = urk_denot::show_denot(&ev, &ev.eval_closed(&core), 16);
     assert_eq!(oracle, "31376");
 
-    for at in [100u64, 700, 1_500] {
+    // Interrupt early, midway, and late in the undisturbed episode.
+    let mut probe = Machine::new(MachineConfig::default());
+    probe.link_code(Arc::new(compile_program(&[])));
+    probe.eval_code_expr(&core, true).expect("within limits");
+    let steps = probe.stats().steps;
+    assert!(steps > 100, "the episode must be long enough to interrupt");
+    for at in [steps / 10, steps / 2, steps * 9 / 10] {
         let mut m = Machine::new(MachineConfig {
             event_schedule: vec![(at, Exception::Interrupt)],
             gc_threshold: 500,
             ..MachineConfig::default()
         });
-        let first = m
-            .eval(core.clone(), &MEnv::empty(), true)
-            .expect("within limits");
+        m.link_code(Arc::new(compile_program(&[])));
+        let first = m.eval_code_expr(&core, true).expect("within limits");
         assert!(
             matches!(first, Outcome::Caught(Exception::Interrupt)),
             "interrupt at {at}: {first:?}"
         );
         // The schedule is exhausted; re-evaluation must now reach the
         // oracle's value using whatever the trim left behind.
-        let second = m
-            .eval(core.clone(), &MEnv::empty(), true)
-            .expect("within limits");
+        let second = m.eval_code_expr(&core, true).expect("within limits");
         let Outcome::Value(n) = second else {
             panic!("re-evaluation after interrupt at {at}: {second:?}")
         };

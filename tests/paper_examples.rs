@@ -2,6 +2,8 @@
 //! public `urk` API. Section references are to *"A Semantics for Imprecise
 //! Exceptions"* (PLDI 1999).
 
+mod io_diff;
+
 use urk::{BlackholeMode, Exception, OrderPolicy, Session};
 
 fn session() -> Session {
@@ -48,7 +50,7 @@ fn head_of_empty_list_is_catchable_pattern_match_failure() {
     Bad e                    -> putStr "other""#,
     )
     .expect("loads");
-    let out = s.run_main("").expect("runs");
+    let out = io_diff::run_main(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "no match in: head");
 }
 
@@ -213,7 +215,7 @@ fn uncaught_exception_from_main_is_reported() {
     let mut s = session();
     s.load(r#"main = putStr (showInt (head []))"#)
         .expect("loads");
-    let out = s.run_main("").expect("runs");
+    let out = io_diff::run_main(&mut s, "").expect("runs");
     assert!(matches!(
         out.result,
         urk::IoResult::Uncaught(Exception::PatternMatchFail(_))
@@ -237,7 +239,7 @@ fn control_c_reaches_get_exception() {
     Bad e         -> putStr "other""#,
     )
     .expect("loads");
-    let out = s.run_main("").expect("runs");
+    let out = io_diff::run_main(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "ControlC");
 }
 
@@ -310,6 +312,6 @@ main = do
     Bad e -> putStr "rejected""#,
     )
     .expect("loads");
-    let out = s.run_main("").expect("runs");
+    let out = io_diff::run_main(&mut s, "").expect("runs");
     assert_eq!(out.trace.output(), "rejected");
 }

@@ -354,7 +354,6 @@ fn verify_code_does_not_perturb_the_cache_key() {
         &options.machine,
         &options.denot,
         options.render_depth,
-        urk::Backend::Compiled,
         options.tier,
     );
     let verifying = urk::cache::cache_key(
@@ -365,7 +364,6 @@ fn verify_code_does_not_perturb_the_cache_key() {
         },
         &options.denot,
         options.render_depth,
-        urk::Backend::Compiled,
         options.tier,
     );
     assert_eq!(

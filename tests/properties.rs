@@ -13,11 +13,12 @@
 //! * `parse ∘ pretty` is the identity up to alpha on core terms.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use urk_denot::{compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator};
-use urk_machine::{MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, Expr, PrimOp};
 use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Symbol};
 use urk_transform::{
@@ -127,7 +128,8 @@ fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
         order: policy,
         ..MachineConfig::default()
     });
-    m.eval(e.clone(), &MEnv::empty(), true).expect("terminates")
+    m.link_code(Arc::new(compile_program(&[])));
+    m.eval_code_expr(e, true).expect("terminates")
 }
 
 proptest! {
@@ -149,7 +151,8 @@ proptest! {
                         order: policy,
                         ..MachineConfig::default()
                     });
-                    let Outcome::Value(node2) = m2.eval(e.clone(), &MEnv::empty(), true).expect("terminates") else {
+                    m2.link_code(Arc::new(compile_program(&[])));
+                    let Outcome::Value(node2) = m2.eval_code_expr(&e, true).expect("terminates") else {
                         unreachable!()
                     };
                     prop_assert_eq!(m2.render(node2, 4), n.to_string());

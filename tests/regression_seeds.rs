@@ -12,9 +12,10 @@
 //! pipeline, fuel monotonicity, and the pretty/parse round trip.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use urk_denot::{compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator, Value};
-use urk_machine::{MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Symbol};
 use urk_transform::{
@@ -159,7 +160,8 @@ fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
         order: policy,
         ..MachineConfig::default()
     });
-    m.eval(e.clone(), &MEnv::empty(), true).expect("terminates")
+    m.link_code(Arc::new(compile_program(&[])));
+    m.eval_code_expr(e, true).expect("terminates")
 }
 
 /// The `machine_sound_wrt_denotational_semantics` property, pinned.
@@ -179,10 +181,8 @@ fn check_machine_sound(e: Expr) {
                     order: policy,
                     ..MachineConfig::default()
                 });
-                let Outcome::Value(node2) = m2
-                    .eval(e.clone(), &MEnv::empty(), true)
-                    .expect("terminates")
-                else {
+                m2.link_code(Arc::new(compile_program(&[])));
+                let Outcome::Value(node2) = m2.eval_code_expr(&e, true).expect("terminates") else {
                     unreachable!()
                 };
                 assert_eq!(m2.render(node2, 4), n.to_string());

@@ -5,9 +5,10 @@
 //! corpus here and over random terms in `properties.rs`.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use urk_denot::{show_denot, Denot, DenotEvaluator, Env};
-use urk_machine::{MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
 
 /// Closed terms exercising every corner of the semantics.
@@ -81,9 +82,8 @@ fn machine_agrees_with_the_denotational_semantics_on_the_corpus() {
                 order: policy,
                 ..MachineConfig::default()
             });
-            let out = m
-                .eval(core.clone(), &MEnv::empty(), true)
-                .expect("within limits");
+            m.link_code(Arc::new(compile_program(&[])));
+            let out = m.eval_code_expr(&core, true).expect("within limits");
             match (&denot, out) {
                 (Denot::Ok(_), Outcome::Value(n)) => {
                     let machine_render = m.render(n, 16);
@@ -131,9 +131,8 @@ fn order_policies_never_change_normal_results() {
                 order: policy,
                 ..MachineConfig::default()
             });
-            let out = m
-                .eval(core.clone(), &MEnv::empty(), true)
-                .expect("within limits");
+            m.link_code(Arc::new(compile_program(&[])));
+            let out = m.eval_code_expr(&core, true).expect("within limits");
             if let Outcome::Value(n) = out {
                 renders.push(m.render(n, 8));
             }
@@ -156,7 +155,8 @@ fn machine_representative_is_deterministic_per_policy() {
             order: policy,
             ..MachineConfig::default()
         });
-        match m.eval(core.clone(), &MEnv::empty(), true).expect("ok") {
+        m.link_code(Arc::new(compile_program(&[])));
+        match m.eval_code_expr(&core, true).expect("ok") {
             Outcome::Caught(e) => e,
             other => panic!("{other:?}"),
         }
@@ -188,7 +188,8 @@ fn denotation_is_invariant_under_the_machine_policy_knob() {
             order: policy,
             ..MachineConfig::default()
         });
-        let Outcome::Caught(e) = m.eval(core.clone(), &MEnv::empty(), true).expect("ok") else {
+        m.link_code(Arc::new(compile_program(&[])));
+        let Outcome::Caught(e) = m.eval_code_expr(&core, true).expect("ok") else {
             panic!("raises")
         };
         assert!(set.contains(&e));
@@ -214,8 +215,8 @@ fn env_binding_shapes_agree_between_layers() {
     assert_eq!(show_denot(&ev, &d, 4), "16");
 
     let mut m = Machine::new(MachineConfig::default());
-    let menv = m.bind_recursive(&prog.binds, &MEnv::empty());
-    let Outcome::Value(n) = m.eval(query, &menv, false).expect("ok") else {
+    m.link_code(Arc::new(compile_program(&prog.binds)));
+    let Outcome::Value(n) = m.eval_code_expr(&query, false).expect("ok") else {
         panic!()
     };
     assert_eq!(m.render(n, 4), "16");

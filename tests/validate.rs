@@ -18,14 +18,14 @@
 //!    claims that an exceptional argument in position `i` surfaces in
 //!    the call's answer. That must-property is checked here by actually
 //!    raising in each demanded position under *both* deterministic order
-//!    policies, at both the tree backend and the validated tier-2
-//!    backend; a never-demanded position must conversely stay lazy.
+//!    policies, at both tier 1 and the validated tier-2 image; a
+//!    never-demanded position must conversely stay lazy.
 
 use std::fs;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use urk::{tier2_facts_for, Backend, OrderPolicy, Session, Tier};
+use urk::{tier2_facts_for, OrderPolicy, Session, Tier};
 use urk_analysis::{analyze_program, audit_binding_facts};
 use urk_machine::{
     compile_program, tier2_optimize_certified, validate_tier2, CertKind, FactVal, ValidationReport,
@@ -221,8 +221,8 @@ fn strictness_facts_license_call_speculation_on_real_programs() {
 }
 
 /// Every demanded position must surface an exceptional argument in the
-/// final answer — under both deterministic order policies and on both
-/// the tree backend and the validated tier-2 backend.
+/// final answer — under both deterministic order policies and at both
+/// tier 1 and the validated tier-2 image.
 #[test]
 fn demanded_positions_are_differentially_sound() {
     let src = "\
@@ -237,16 +237,15 @@ viaCall y = sq y
     let facts = analyze_program(&prog, &data).binding_facts(&prog.binds);
     let mut sessions = Vec::new();
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        let mut tree = Session::new();
-        tree.options.machine.order = order;
-        tree.load(src).expect("loads");
+        let mut t1 = Session::new();
+        t1.options.machine.order = order;
+        t1.load(src).expect("loads");
         let mut t2 = Session::new();
         t2.options.machine.order = order;
-        t2.options.backend = Backend::Compiled;
         t2.options.tier = Tier::Two;
         t2.options.validate_tier2 = true;
         t2.load(src).expect("loads");
-        sessions.push(tree);
+        sessions.push(t1);
         sessions.push(t2);
     }
     let mut demanded_checked = 0usize;
