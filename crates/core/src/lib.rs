@@ -205,6 +205,29 @@ mod tests {
             s.eval("head 3").expect_err("ill-typed"),
             Error::Type(_)
         ));
+
+        // A failed load leaves nothing behind: not its bindings ...
+        let binds = s.program().binds.len();
+        assert!(s.load("bad = 1 + 'c'").is_err());
+        assert_eq!(s.program().binds.len(), binds);
+        assert_eq!(s.type_of_binding("bad"), None);
+        s.load("bad = 1")
+            .expect("the failed definition was not kept");
+        assert_eq!(s.type_of_binding("bad").as_deref(), Some("Int"));
+
+        // ... nor its data declarations.
+        let src = "data T = A | B\nworse = A + 1";
+        assert!(matches!(
+            s.load(src).expect_err("ill-typed"),
+            Error::Type(_)
+        ));
+        assert!(s
+            .data()
+            .type_info(urk_syntax::Symbol::intern("T"))
+            .is_none());
+        let fixed = "data T = A | B\nworse = case A of { A -> 1; B -> 2 }";
+        s.load(fixed).expect("the failed declaration was not kept");
+        assert_eq!(s.eval("worse").expect("evals").rendered, "1");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ([`Session::run_main`], [`Session::run_main_semantic`]).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ use urk_syntax::core::{CoreProgram, Expr};
 use urk_syntax::{
     desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv, Exception, Symbol,
 };
-use urk_types::{infer_expr, infer_program, Scheme};
+use urk_types::{infer_expr, TypeEnv};
 
 use crate::error::Error;
 use crate::prelude_source;
@@ -96,7 +96,11 @@ pub struct EvalResult {
 pub struct Session {
     data: DataEnv,
     program: CoreProgram,
-    types: HashMap<Symbol, Scheme>,
+    types: TypeEnv,
+    /// How many leading bindings and signatures of `program` `types`
+    /// covers. A load made with [`Options::typecheck`] off leaves a tail
+    /// that the next checked load types along with its own bindings.
+    typed: (usize, usize),
     /// The program lowered to flat code, compiled on first use and
     /// invalidated whenever the program changes — tagged with the tier
     /// it was compiled at, so switching [`Options::tier`] between calls
@@ -137,7 +141,8 @@ impl Session {
         Session {
             data: DataEnv::new(),
             program: CoreProgram::default(),
-            types: HashMap::new(),
+            types: TypeEnv::new(),
+            typed: (0, 0),
             compiled: RefCell::new(None),
             prelude_len: 0,
             options: Options::default(),
@@ -145,25 +150,47 @@ impl Session {
     }
 
     /// Loads a program: `data` declarations and bindings are added to the
-    /// session, and the combined program is re-type-checked.
+    /// session. Only the new bindings are type-checked, against the schemes
+    /// of the earlier ones (plus any tail loaded with
+    /// [`Options::typecheck`] off).
+    ///
+    /// A failed load changes nothing: the declarations, bindings and
+    /// types are committed only once every check has passed.
     ///
     /// # Errors
     ///
     /// Syntax, desugaring, duplicate-definition, or type errors.
     pub fn load(&mut self, src: &str) -> Result<(), Error> {
         let parsed = parse_program(src)?;
-        let new = desugar_program(&parsed, &mut self.data)?;
-        for (name, _) in &new.binds {
-            if self.program.binds.iter().any(|(n, _)| n == name) {
-                return Err(Error::DuplicateDefinition(name.as_str()));
-            }
+        let mut data = self.data.clone();
+        let new = desugar_program(&parsed, &mut data)?;
+        let defined: HashSet<Symbol> = self.program.binds.iter().map(|(n, _)| *n).collect();
+        if let Some((name, _)) = new.binds.iter().find(|(n, _)| defined.contains(n)) {
+            return Err(Error::DuplicateDefinition(name.as_str()));
         }
+        if self.options.typecheck {
+            let (binds, sigs) = self.typed;
+            let binds: Vec<_> = self.program.binds[binds..]
+                .iter()
+                .chain(&new.binds)
+                .cloned()
+                .collect();
+            let sigs: Vec<_> = self.program.sigs[sigs..]
+                .iter()
+                .chain(&new.sigs)
+                .cloned()
+                .collect();
+            self.types.extend(&binds, &sigs, &data)?;
+            self.typed = (
+                self.program.binds.len() + new.binds.len(),
+                self.program.sigs.len() + new.sigs.len(),
+            );
+        }
+        // Every check has passed: commit.
+        self.data = data;
         self.program.binds.extend(new.binds);
         self.program.sigs.extend(new.sigs);
         self.compiled.replace(None);
-        if self.options.typecheck {
-            self.types = infer_program(&self.program, &self.data)?;
-        }
         Ok(())
     }
 
@@ -180,6 +207,7 @@ impl Session {
     /// The inferred scheme of a top-level binding, rendered.
     pub fn type_of_binding(&self, name: &str) -> Option<String> {
         self.types
+            .schemes()
             .get(&Symbol::intern(name))
             .map(|s| s.ty.to_string())
     }
@@ -194,7 +222,7 @@ impl Session {
         let surface = parse_expr_src(src)?;
         let core = desugar_expr(&surface, &self.data)?;
         if self.options.typecheck {
-            infer_expr(&core, &self.data, &self.types)?;
+            infer_expr(&core, &self.data, self.types.schemes())?;
         }
         Ok(Rc::new(core))
     }
@@ -207,7 +235,7 @@ impl Session {
     pub fn type_of(&self, src: &str) -> Result<String, Error> {
         let surface = parse_expr_src(src)?;
         let core = desugar_expr(&surface, &self.data)?;
-        let t = infer_expr(&core, &self.data, &self.types)?;
+        let t = infer_expr(&core, &self.data, self.types.schemes())?;
         Ok(t.to_string())
     }
 
@@ -556,11 +584,7 @@ impl Session {
     pub fn optimize(&mut self) -> Result<urk_transform::OptimizeReport, Error> {
         let optimizer = urk_transform::Optimizer::new();
         let (out, report) = optimizer.optimize_with_data(&self.program, &self.data);
-        if self.options.typecheck {
-            self.types = infer_program(&out, &self.data)?;
-        }
-        self.program = out;
-        self.compiled.replace(None);
+        self.replace_program(out)?;
         Ok(report)
     }
 
@@ -583,13 +607,25 @@ impl Session {
         let optimizer = urk_transform::Optimizer::new();
         let (out, report) = optimizer.optimize_validated(&self.program, &self.data, &compiled);
         if report.validated() {
-            if self.options.typecheck {
-                self.types = infer_program(&out, &self.data)?;
-            }
-            self.program = out;
-            self.compiled.replace(None);
+            self.replace_program(out)?;
         }
         Ok(report)
+    }
+
+    /// Installs a rewritten program, re-type-checking it whole when
+    /// [`Options::typecheck`] is on. The rewrites keep every binding in
+    /// place, so with checking off the earlier typing still covers the
+    /// same prefix.
+    fn replace_program(&mut self, program: CoreProgram) -> Result<(), Error> {
+        if self.options.typecheck {
+            let mut types = TypeEnv::new();
+            types.extend(&program.binds, &program.sigs, &self.data)?;
+            self.types = types;
+            self.typed = (program.binds.len(), program.sigs.len());
+        }
+        self.program = program;
+        self.compiled.replace(None);
+        Ok(())
     }
 }
 

@@ -1,5 +1,5 @@
 //! Hindley–Milner type inference (Algorithm W with an in-place
-//! substitution) over the core language.
+//! substitution and level-based generalisation) over the core language.
 //!
 //! The paper's primitives get the types of §3.1/§3.5:
 //!
@@ -12,15 +12,27 @@
 //! `IO`'s constructors are typed as primitives (`Bind`'s real data-type
 //! would need an existential), matching §4.4's reading of `IO` as an
 //! algebraic data type at the *semantic* level only.
+//!
+//! Inference is linear in program size. Top-level schemes are closed, so
+//! they live in maps that are looked up but never scanned; only locals are
+//! scoped. Every unification variable carries the `let`-level it was
+//! created at (Rémy's levels, as in OCaml): binding a variable lowers the
+//! levels of the variables it is bound to, and a `let` generalises exactly
+//! the variables still above its own level, so generalisation costs the
+//! size of the type rather than the depth of the scope. A [`TypeEnv`]
+//! grows one load at a time, typing only the bindings it is given.
 
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 use urk_syntax::ast::SType;
 use urk_syntax::core::{Alt, AltCon, CoreProgram, Expr, PrimOp};
 use urk_syntax::{ConInfo, DataEnv, Symbol};
 
-use crate::ty::{Scheme, TyVar, Type};
+use crate::ty::{names, Scheme, TyVar, Type};
 
 /// A type error with a human-readable message.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -34,13 +46,94 @@ impl fmt::Display for TypeError {
 
 impl std::error::Error for TypeError {}
 
+/// The closed schemes of a program's top-level bindings, grown one load at
+/// a time: [`TypeEnv::extend`] types only the bindings it is given, against
+/// the schemes already here.
+#[derive(Clone, Debug, Default)]
+pub struct TypeEnv {
+    schemes: HashMap<Symbol, Scheme>,
+    /// Skolems handed out by the signatures checked so far, so a later
+    /// signature's rigid variables are numbered — and its error text
+    /// reads — exactly as in a whole-program check.
+    skolems: u32,
+}
+
+impl TypeEnv {
+    /// An environment with no bindings.
+    pub fn new() -> TypeEnv {
+        TypeEnv::default()
+    }
+
+    /// The scheme of every binding typed so far.
+    pub fn schemes(&self) -> &HashMap<Symbol, Scheme> {
+        &self.schemes
+    }
+
+    /// Infers schemes for `binds`, which may refer to each other and to
+    /// every binding already typed here, then checks `sigs` (which may name
+    /// either). On error the environment is unchanged.
+    ///
+    /// Extending by a program's loads in turn gives the same schemes as
+    /// [`infer_program`] on the whole program.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`TypeError`] encountered.
+    pub fn extend(
+        &mut self,
+        binds: &[(Symbol, Rc<Expr>)],
+        sigs: &[(Symbol, SType)],
+        data: &DataEnv,
+    ) -> Result<(), TypeError> {
+        let mut inf = Inferencer::new(data, &self.schemes);
+        inf.next_skolem = self.skolems;
+        inf.infer_top_level(binds)?;
+        for (name, sig) in sigs {
+            let inferred = inf
+                .top
+                .get(name)
+                .or_else(|| self.schemes.get(name))
+                .cloned()
+                .ok_or_else(|| TypeError(format!("signature for '{name}' lacks a binding")))?;
+            inf.check_signature(*name, inferred, sig)?;
+        }
+        let Inferencer {
+            top, next_skolem, ..
+        } = inf;
+        self.schemes.extend(top);
+        self.skolems = next_skolem;
+        Ok(())
+    }
+}
+
+/// The state of one unification variable.
+enum Slot {
+    /// Not yet bound; created at (or since lowered to) this `let`-level.
+    Unbound(u32),
+    /// Bound to a type.
+    Link(Type),
+}
+
 /// The inference engine.
-pub struct Inferencer<'a> {
+///
+/// A type error aborts the whole inference, so scopes left open by an
+/// early return are never looked at again.
+struct Inferencer<'a> {
     data: &'a DataEnv,
-    subst: HashMap<TyVar, Type>,
-    next: u32,
-    /// Lexically scoped term variables.
-    scopes: Vec<(Symbol, Scheme)>,
+    /// Closed schemes typed before this run; looked up, never scanned.
+    globals: &'a HashMap<Symbol, Scheme>,
+    /// Closed schemes of the top-level groups this run has typed.
+    top: HashMap<Symbol, Scheme>,
+    /// Unification variables, indexed by [`TyVar`].
+    slots: Vec<Slot>,
+    /// The current `let`-level: fresh variables are created at it, and a
+    /// `let` generalises the variables left above it.
+    level: u32,
+    /// The innermost binding of each local in scope.
+    locals: HashMap<Symbol, Scheme>,
+    /// What each local binding shadowed, innermost last, for
+    /// [`Inferencer::pop_locals`].
+    shadowed: Vec<(Symbol, Option<Scheme>)>,
     next_skolem: u32,
 }
 
@@ -59,31 +152,14 @@ pub fn infer_program(
     prog: &CoreProgram,
     data: &DataEnv,
 ) -> Result<HashMap<Symbol, Scheme>, TypeError> {
-    let mut inf = Inferencer::new(data);
-    let mut out = HashMap::new();
-    for group in binding_groups(&prog.binds) {
-        let binds: Vec<(Symbol, std::rc::Rc<Expr>)> =
-            group.iter().map(|&i| prog.binds[i].clone()).collect();
-        let tys = inf.infer_letrec_group(&binds)?;
-        let env_fv = inf.env_free_vars();
-        for (name, ty) in tys {
-            let scheme = inf.generalize_over(ty, &env_fv);
-            inf.scopes.push((name, scheme.clone()));
-            out.insert(name, scheme);
-        }
-    }
-    for (name, sig) in &prog.sigs {
-        let Some(inferred) = out.get(name) else {
-            return Err(TypeError(format!("signature for '{name}' lacks a binding")));
-        };
-        inf.check_signature(*name, inferred.clone(), sig)?;
-    }
-    Ok(out)
+    let mut env = TypeEnv::new();
+    env.extend(&prog.binds, &prog.sigs, data)?;
+    Ok(env.schemes)
 }
 
 /// Splits bindings into strongly connected components in dependency order
 /// (Tarjan's algorithm, iterative).
-fn binding_groups(binds: &[(Symbol, std::rc::Rc<Expr>)]) -> Vec<Vec<usize>> {
+fn binding_groups(binds: &[(Symbol, Rc<Expr>)]) -> Vec<Vec<usize>> {
     let index_of: HashMap<Symbol, usize> = binds
         .iter()
         .enumerate()
@@ -173,6 +249,8 @@ fn binding_groups(binds: &[(Symbol, std::rc::Rc<Expr>)]) -> Vec<Vec<usize>> {
 
 /// Infers the type of a single expression against a global environment.
 ///
+/// `globals` must be closed, as [`infer_program`] returns them.
+///
 /// # Errors
 ///
 /// Returns the first [`TypeError`] encountered.
@@ -181,82 +259,132 @@ pub fn infer_expr(
     data: &DataEnv,
     globals: &HashMap<Symbol, Scheme>,
 ) -> Result<Type, TypeError> {
-    let mut inf = Inferencer::new(data);
-    for (name, scheme) in globals {
-        inf.scopes.push((*name, scheme.clone()));
-    }
+    let mut inf = Inferencer::new(data, globals);
     let t = inf.infer(e)?;
     Ok(inf.resolve_deep(&t))
 }
 
+/// The `IO` pseudo-constructors (§4.4), typed as primitives.
+#[derive(Clone, Copy)]
+enum IoCon {
+    Return,
+    Bind,
+    GetChar,
+    PutChar,
+    PutStr,
+    GetException,
+    Fork,
+    Yield,
+    NewMVar,
+    NewEmptyMVar,
+    TakeMVar,
+    PutMVar,
+    ThrowTo,
+}
+
+impl IoCon {
+    /// The `IO` constructor named `c`, if any.
+    fn of(c: Symbol) -> Option<IoCon> {
+        static TABLE: OnceLock<HashMap<Symbol, IoCon>> = OnceLock::new();
+        TABLE
+            .get_or_init(|| {
+                use IoCon::*;
+                [
+                    ("Return", Return),
+                    ("Bind", Bind),
+                    ("GetChar", GetChar),
+                    ("PutChar", PutChar),
+                    ("PutStr", PutStr),
+                    ("GetException", GetException),
+                    ("Fork", Fork),
+                    ("Yield", Yield),
+                    ("NewMVar", NewMVar),
+                    ("NewEmptyMVar", NewEmptyMVar),
+                    ("TakeMVar", TakeMVar),
+                    ("PutMVar", PutMVar),
+                    ("ThrowTo", ThrowTo),
+                ]
+                .into_iter()
+                .map(|(name, con)| (Symbol::intern(name), con))
+                .collect()
+            })
+            .get(&c)
+            .copied()
+    }
+}
+
 impl<'a> Inferencer<'a> {
-    pub fn new(data: &'a DataEnv) -> Inferencer<'a> {
+    fn new(data: &'a DataEnv, globals: &'a HashMap<Symbol, Scheme>) -> Inferencer<'a> {
         Inferencer {
             data,
-            subst: HashMap::new(),
-            next: 0,
-            scopes: Vec::new(),
+            globals,
+            top: HashMap::new(),
+            slots: Vec::new(),
+            level: 0,
+            locals: HashMap::new(),
+            shadowed: Vec::new(),
             next_skolem: 0,
         }
     }
 
     fn fresh(&mut self) -> Type {
-        let v = TyVar(self.next);
-        self.next += 1;
-        Type::Var(v)
+        new_var(&mut self.slots, self.level)
     }
 
     // ------------------------------------------------------------------
     // Substitution and unification
     // ------------------------------------------------------------------
 
-    /// Follows the substitution one level.
-    fn resolve(&self, t: &Type) -> Type {
-        let mut t = t.clone();
+    /// Follows bound variables to the first type that is not one.
+    fn resolve<'t>(&'t self, mut t: &'t Type) -> &'t Type {
         while let Type::Var(v) = t {
-            match self.subst.get(&v) {
-                Some(next) => t = next.clone(),
-                None => return Type::Var(v),
+            match &self.slots[v.0 as usize] {
+                Slot::Link(next) => t = next,
+                Slot::Unbound(_) => break,
             }
         }
         t
     }
 
+    /// [`Inferencer::resolve`], copying only when it follows a variable.
+    fn resolve_cow<'t>(&self, t: &'t Type) -> Cow<'t, Type> {
+        match t {
+            Type::Var(_) => Cow::Owned(self.resolve(t).clone()),
+            _ => Cow::Borrowed(t),
+        }
+    }
+
     /// Applies the substitution everywhere.
     fn resolve_deep(&self, t: &Type) -> Type {
         match self.resolve(t) {
-            Type::Fun(a, b) => Type::fun(self.resolve_deep(&a), self.resolve_deep(&b)),
-            Type::Con(c, args) => Type::Con(c, args.iter().map(|a| self.resolve_deep(a)).collect()),
-            other => other,
-        }
-    }
-
-    fn occurs(&self, v: TyVar, t: &Type) -> bool {
-        match self.resolve(t) {
-            Type::Var(w) => v == w,
-            Type::Fun(a, b) => self.occurs(v, &a) || self.occurs(v, &b),
-            Type::Con(_, args) => args.iter().any(|a| self.occurs(v, a)),
-            _ => false,
-        }
-    }
-
-    pub fn unify(&mut self, t1: &Type, t2: &Type) -> Result<(), TypeError> {
-        let a = self.resolve(t1);
-        let b = self.resolve(t2);
-        match (&a, &b) {
-            (Type::Var(v), Type::Var(w)) if v == w => Ok(()),
-            (Type::Var(v), _) => {
-                if self.occurs(*v, &b) {
-                    return Err(TypeError(format!(
-                        "infinite type: cannot unify {} with {}",
-                        self.resolve_deep(&a),
-                        self.resolve_deep(&b)
-                    )));
-                }
-                self.subst.insert(*v, b);
-                Ok(())
+            Type::Fun(a, b) => Type::fun(self.resolve_deep(a), self.resolve_deep(b)),
+            Type::Con(c, args) => {
+                Type::Con(*c, args.iter().map(|a| self.resolve_deep(a)).collect())
             }
-            (_, Type::Var(_)) => self.unify(&b, &a),
+            other => other.clone(),
+        }
+    }
+
+    /// Pushes every unbound variable of `t` (with repeats) onto `out`.
+    fn unbound_vars(&self, t: &Type, out: &mut Vec<TyVar>) {
+        match self.resolve(t) {
+            Type::Var(v) => out.push(*v),
+            Type::Fun(a, b) => {
+                self.unbound_vars(a, out);
+                self.unbound_vars(b, out);
+            }
+            Type::Con(_, args) => args.iter().for_each(|a| self.unbound_vars(a, out)),
+            Type::Int | Type::Char | Type::Str | Type::Skolem(_) => {}
+        }
+    }
+
+    fn unify(&mut self, t1: &Type, t2: &Type) -> Result<(), TypeError> {
+        let a = self.resolve_cow(t1);
+        let b = self.resolve_cow(t2);
+        match (&*a, &*b) {
+            (Type::Var(v), Type::Var(w)) if v == w => Ok(()),
+            (Type::Var(v), _) => self.bind(*v, &b),
+            (_, Type::Var(w)) => self.bind(*w, &a),
             (Type::Int, Type::Int) | (Type::Char, Type::Char) | (Type::Str, Type::Str) => Ok(()),
             (Type::Skolem(m), Type::Skolem(n)) if m == n => Ok(()),
             (Type::Fun(a1, b1), Type::Fun(a2, b2)) => {
@@ -279,56 +407,61 @@ impl<'a> Inferencer<'a> {
         }
     }
 
+    /// Binds the unbound variable `v` to `t` after the occurs check,
+    /// lowering every variable of `t` to `v`'s level: they are now as
+    /// widely scoped as `v` is.
+    fn bind(&mut self, v: TyVar, t: &Type) -> Result<(), TypeError> {
+        let mut vars = Vec::new();
+        self.unbound_vars(t, &mut vars);
+        if vars.contains(&v) {
+            return Err(TypeError(format!(
+                "infinite type: cannot unify {} with {}",
+                Type::Var(v),
+                self.resolve_deep(t)
+            )));
+        }
+        let Slot::Unbound(level) = self.slots[v.0 as usize] else {
+            unreachable!("only resolved, hence unbound, variables are bound");
+        };
+        for w in vars {
+            if let Slot::Unbound(l) = &mut self.slots[w.0 as usize] {
+                *l = (*l).min(level);
+            }
+        }
+        self.slots[v.0 as usize] = Slot::Link(t.clone());
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Environment and generalization
     // ------------------------------------------------------------------
 
-    fn lookup(&self, name: Symbol) -> Option<&Scheme> {
-        self.scopes
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
+    fn push_local(&mut self, name: Symbol, scheme: Scheme) {
+        let prev = self.locals.insert(name, scheme);
+        self.shadowed.push((name, prev));
     }
 
-    fn instantiate(&mut self, s: &Scheme) -> Type {
-        let mapping: HashMap<TyVar, Type> = s.vars.iter().map(|v| (*v, self.fresh())).collect();
-        fn go(t: &Type, m: &HashMap<TyVar, Type>) -> Type {
-            match t {
-                Type::Var(v) => m.get(v).cloned().unwrap_or(Type::Var(*v)),
-                Type::Fun(a, b) => Type::fun(go(a, m), go(b, m)),
-                Type::Con(c, args) => Type::Con(*c, args.iter().map(|a| go(a, m)).collect()),
-                other => other.clone(),
-            }
+    /// Ends the scope of every local bound since `shadowed` had length
+    /// `mark`.
+    fn pop_locals(&mut self, mark: usize) {
+        for (name, prev) in self.shadowed.drain(mark..).rev() {
+            match prev {
+                Some(s) => self.locals.insert(name, s),
+                None => self.locals.remove(&name),
+            };
         }
-        go(&s.ty, &mapping)
     }
 
-    fn env_free_vars(&self) -> BTreeSet<TyVar> {
-        let mut out = BTreeSet::new();
-        for (_, s) in &self.scopes {
-            let resolved = self.resolve_deep(&s.ty);
-            let mut fv = resolved.free_vars();
-            for q in &s.vars {
-                fv.remove(q);
-            }
-            out.extend(fv);
-        }
-        out
-    }
-
-    fn generalize(&self, ty: Type) -> Scheme {
-        self.generalize_over(ty, &self.env_free_vars())
-    }
-
-    fn generalize_over(&self, ty: Type, env_fv: &BTreeSet<TyVar>) -> Scheme {
-        let resolved = self.resolve_deep(&ty);
-        let vars: Vec<TyVar> = resolved
-            .free_vars()
-            .into_iter()
-            .filter(|v| !env_fv.contains(v))
-            .collect();
-        Scheme { vars, ty: resolved }
+    /// Quantifies the variables of `ty` created inside the `let` being
+    /// left, i.e. those still above the current level.
+    fn generalize(&self, ty: &Type) -> Scheme {
+        let ty = self.resolve_deep(ty);
+        let mut vars = Vec::new();
+        self.unbound_vars(&ty, &mut vars);
+        vars.retain(|v| matches!(self.slots[v.0 as usize], Slot::Unbound(l) if l > self.level));
+        vars.sort_unstable();
+        vars.dedup();
+        Scheme { vars, ty }
     }
 
     // ------------------------------------------------------------------
@@ -373,39 +506,39 @@ impl<'a> Inferencer<'a> {
     /// The result and field types for a data constructor, freshly
     /// instantiated.
     fn con_types(&mut self, info: &ConInfo) -> (Type, Vec<Type>) {
-        let mapping: HashMap<Symbol, Type> =
+        let mapping: Vec<(Symbol, Type)> =
             info.ty_params.iter().map(|p| (*p, self.fresh())).collect();
         let args = info
             .arg_types
             .iter()
             .map(|t| stype_to_type(t, &mapping))
             .collect();
-        let result = Type::Con(
-            info.ty_name,
-            info.ty_params.iter().map(|p| mapping[p].clone()).collect(),
-        );
+        let result = Type::Con(info.ty_name, mapping.into_iter().map(|(_, t)| t).collect());
         (result, args)
     }
 
     /// Types for the `IO` pseudo-constructors (§4.4).
-    fn io_con_type(&mut self, name: &str, args: &[Type]) -> Result<Type, TypeError> {
+    fn io_con_type(&mut self, c: Symbol, args: &[Type]) -> Result<Type, TypeError> {
         use Type as T;
         let expect = |n: usize| -> Result<(), TypeError> {
             if args.len() == n {
                 Ok(())
             } else {
                 Err(TypeError(format!(
-                    "IO constructor '{name}' applied to {} arguments, expects {n}",
+                    "IO constructor '{c}' applied to {} arguments, expects {n}",
                     args.len()
                 )))
             }
         };
-        match name {
-            "Return" => {
+        let Some(con) = IoCon::of(c) else {
+            return Err(TypeError(format!("unknown IO constructor '{c}'")));
+        };
+        match con {
+            IoCon::Return => {
                 expect(1)?;
                 Ok(T::io(args[0].clone()))
             }
-            "Bind" => {
+            IoCon::Bind => {
                 expect(2)?;
                 let a = self.fresh();
                 let b = self.fresh();
@@ -413,63 +546,62 @@ impl<'a> Inferencer<'a> {
                 self.unify(&args[1], &T::fun(a, T::io(b.clone())))?;
                 Ok(T::io(b))
             }
-            "GetChar" => {
+            IoCon::GetChar => {
                 expect(0)?;
                 Ok(T::io(T::Char))
             }
-            "PutChar" => {
+            IoCon::PutChar => {
                 expect(1)?;
                 self.unify(&args[0], &T::Char)?;
-                Ok(T::io(T::con0("Unit")))
+                Ok(T::io(T::unit()))
             }
-            "PutStr" => {
+            IoCon::PutStr => {
                 expect(1)?;
                 self.unify(&args[0], &T::Str)?;
-                Ok(T::io(T::con0("Unit")))
+                Ok(T::io(T::unit()))
             }
-            "GetException" => {
+            IoCon::GetException => {
                 expect(1)?;
                 Ok(T::io(T::exval(args[0].clone())))
             }
-            "Fork" => {
+            IoCon::Fork => {
                 expect(1)?;
                 let a = self.fresh();
                 self.unify(&args[0], &T::io(a))?;
                 Ok(T::io(T::Int)) // thread ids are Ints
             }
-            "Yield" => {
+            IoCon::Yield => {
                 expect(0)?;
-                Ok(T::io(T::con0("Unit")))
+                Ok(T::io(T::unit()))
             }
-            "NewMVar" => {
+            IoCon::NewMVar => {
                 expect(1)?;
-                Ok(T::io(T::Con(Symbol::intern("MVar"), vec![args[0].clone()])))
+                Ok(T::io(T::mvar(args[0].clone())))
             }
-            "NewEmptyMVar" => {
+            IoCon::NewEmptyMVar => {
                 expect(0)?;
                 let a = self.fresh();
-                Ok(T::io(T::Con(Symbol::intern("MVar"), vec![a])))
+                Ok(T::io(T::mvar(a)))
             }
-            "TakeMVar" => {
+            IoCon::TakeMVar => {
                 expect(1)?;
                 let a = self.fresh();
-                self.unify(&args[0], &T::Con(Symbol::intern("MVar"), vec![a.clone()]))?;
+                self.unify(&args[0], &T::mvar(a.clone()))?;
                 Ok(T::io(a))
             }
-            "PutMVar" => {
+            IoCon::PutMVar => {
                 expect(2)?;
                 let a = self.fresh();
-                self.unify(&args[0], &T::Con(Symbol::intern("MVar"), vec![a.clone()]))?;
+                self.unify(&args[0], &T::mvar(a.clone()))?;
                 self.unify(&args[1], &a)?;
-                Ok(T::io(T::con0("Unit")))
+                Ok(T::io(T::unit()))
             }
-            "ThrowTo" => {
+            IoCon::ThrowTo => {
                 expect(2)?;
                 self.unify(&args[0], &T::Int)?;
                 self.unify(&args[1], &T::exception())?;
-                Ok(T::io(T::con0("Unit")))
+                Ok(T::io(T::unit()))
             }
-            _ => Err(TypeError(format!("unknown IO constructor '{name}'"))),
         }
     }
 
@@ -477,15 +609,29 @@ impl<'a> Inferencer<'a> {
     // Inference proper
     // ------------------------------------------------------------------
 
-    pub fn infer(&mut self, e: &Expr) -> Result<Type, TypeError> {
+    /// Types the top-level `binds` group by group, in dependency order,
+    /// adding each group's closed schemes to `top`.
+    fn infer_top_level(&mut self, binds: &[(Symbol, Rc<Expr>)]) -> Result<(), TypeError> {
+        for group in binding_groups(binds) {
+            let group: Vec<(Symbol, Rc<Expr>)> = group.iter().map(|&i| binds[i].clone()).collect();
+            for (name, scheme) in self.infer_letrec_group(&group)? {
+                self.top.insert(name, scheme);
+            }
+        }
+        Ok(())
+    }
+
+    fn infer(&mut self, e: &Expr) -> Result<Type, TypeError> {
         match e {
-            Expr::Var(v) => match self.lookup(*v) {
-                Some(s) => {
-                    let s = s.clone();
-                    Ok(self.instantiate(&s))
-                }
-                None => Err(TypeError(format!("unbound variable '{v}'"))),
-            },
+            Expr::Var(v) => {
+                let scheme = self
+                    .locals
+                    .get(v)
+                    .or_else(|| self.top.get(v))
+                    .or_else(|| self.globals.get(v))
+                    .ok_or_else(|| TypeError(format!("unbound variable '{v}'")))?;
+                Ok(instantiate(scheme, &mut self.slots, self.level))
+            }
             Expr::Int(_) => Ok(Type::Int),
             Expr::Char(_) => Ok(Type::Char),
             Expr::Str(_) => Ok(Type::Str),
@@ -494,15 +640,14 @@ impl<'a> Inferencer<'a> {
                     .iter()
                     .map(|a| self.infer(a))
                     .collect::<Result<Vec<_>, _>>()?;
-                let info = self
-                    .data
+                let data = self.data;
+                let info = data
                     .con(*c)
-                    .ok_or_else(|| TypeError(format!("unknown constructor '{c}'")))?
-                    .clone();
+                    .ok_or_else(|| TypeError(format!("unknown constructor '{c}'")))?;
                 if info.io_primitive {
-                    return self.io_con_type(&c.as_str(), &arg_tys);
+                    return self.io_con_type(*c, &arg_tys);
                 }
-                let (result, fields) = self.con_types(&info);
+                let (result, fields) = self.con_types(info);
                 if fields.len() != arg_tys.len() {
                     return Err(TypeError(format!(
                         "constructor '{c}' applied to {} arguments, expects {}",
@@ -524,30 +669,31 @@ impl<'a> Inferencer<'a> {
             }
             Expr::Lam(x, b) => {
                 let targ = self.fresh();
-                self.scopes.push((*x, Scheme::mono(targ.clone())));
-                let tbody = self.infer(b);
-                self.scopes.pop();
-                Ok(Type::fun(targ, tbody?))
+                let mark = self.shadowed.len();
+                self.push_local(*x, Scheme::mono(targ.clone()));
+                let tbody = self.infer(b)?;
+                self.pop_locals(mark);
+                Ok(Type::fun(targ, tbody))
             }
             Expr::Let(x, rhs, body) => {
+                self.level += 1;
                 let trhs = self.infer(rhs)?;
-                let scheme = self.generalize(trhs);
-                self.scopes.push((*x, scheme));
-                let t = self.infer(body);
-                self.scopes.pop();
-                t
+                self.level -= 1;
+                let scheme = self.generalize(&trhs);
+                let mark = self.shadowed.len();
+                self.push_local(*x, scheme);
+                let t = self.infer(body)?;
+                self.pop_locals(mark);
+                Ok(t)
             }
             Expr::LetRec(binds, body) => {
-                let tys = self.infer_letrec_group(binds)?;
-                let n = self.scopes.len();
-                let env_fv = self.env_free_vars();
-                for (name, ty) in tys {
-                    let scheme = self.generalize_over(ty, &env_fv);
-                    self.scopes.push((name, scheme));
+                let mark = self.shadowed.len();
+                for (name, scheme) in self.infer_letrec_group(binds)? {
+                    self.push_local(name, scheme);
                 }
-                let t = self.infer(body);
-                self.scopes.truncate(n);
-                t
+                let t = self.infer(body)?;
+                self.pop_locals(mark);
+                Ok(t)
             }
             Expr::Case(scrut, alts) => self.infer_case(scrut, alts),
             Expr::Prim(op, args) => {
@@ -568,37 +714,37 @@ impl<'a> Inferencer<'a> {
         }
     }
 
-    /// Infers monotypes for one recursive binding group (monomorphic
-    /// recursion, generalized by the caller).
+    /// Infers one recursive binding group one level down (monomorphic
+    /// recursion) and generalises it.
     fn infer_letrec_group(
         &mut self,
-        binds: &[(Symbol, std::rc::Rc<Expr>)],
-    ) -> Result<Vec<(Symbol, Type)>, TypeError> {
-        let n = self.scopes.len();
+        binds: &[(Symbol, Rc<Expr>)],
+    ) -> Result<Vec<(Symbol, Scheme)>, TypeError> {
+        self.level += 1;
+        let mark = self.shadowed.len();
         let placeholders: Vec<Type> = binds.iter().map(|_| self.fresh()).collect();
         for ((name, _), t) in binds.iter().zip(&placeholders) {
-            self.scopes.push((*name, Scheme::mono(t.clone())));
+            self.push_local(*name, Scheme::mono(t.clone()));
         }
-        let result = (|| {
-            for ((_, rhs), t) in binds.iter().zip(&placeholders) {
-                let got = self.infer(rhs)?;
-                self.unify(&got, t)?;
-            }
-            Ok(())
-        })();
-        self.scopes.truncate(n);
-        result?;
+        for ((_, rhs), t) in binds.iter().zip(&placeholders) {
+            let got = self.infer(rhs)?;
+            self.unify(&got, t)?;
+        }
+        self.pop_locals(mark);
+        self.level -= 1;
         Ok(binds
             .iter()
-            .zip(placeholders)
-            .map(|((name, _), t)| (*name, t))
+            .zip(&placeholders)
+            .map(|((name, _), t)| (*name, self.generalize(t)))
             .collect())
     }
 
     fn infer_case(&mut self, scrut: &Expr, alts: &[Alt]) -> Result<Type, TypeError> {
         let tscrut = self.infer(scrut)?;
         let tresult = self.fresh();
+        let data = self.data;
         for alt in alts {
+            let mark = self.shadowed.len();
             match &alt.con {
                 AltCon::Int(_) => self.unify(&tscrut, &Type::Int)?,
                 AltCon::Char(_) => self.unify(&tscrut, &Type::Char)?,
@@ -606,24 +752,17 @@ impl<'a> Inferencer<'a> {
                 AltCon::Default => {
                     // A default alternative may bind the scrutinee itself.
                     if let Some(b) = alt.binders.first() {
-                        let t = tscrut.clone();
-                        self.scopes.push((*b, Scheme::mono(t)));
-                        let r = self.infer(&alt.rhs);
-                        self.scopes.pop();
-                        self.unify(&r?, &tresult)?;
-                        continue;
+                        self.push_local(*b, Scheme::mono(tscrut.clone()));
                     }
                 }
                 AltCon::Con(c) => {
-                    let info = self
-                        .data
+                    let info = data
                         .con(*c)
-                        .ok_or_else(|| TypeError(format!("unknown constructor '{c}'")))?
-                        .clone();
+                        .ok_or_else(|| TypeError(format!("unknown constructor '{c}'")))?;
                     if info.io_primitive {
                         return Err(TypeError("IO values cannot be scrutinised by case".into()));
                     }
-                    let (result, fields) = self.con_types(&info);
+                    let (result, fields) = self.con_types(info);
                     self.unify(&tscrut, &result)?;
                     if fields.len() != alt.binders.len() {
                         return Err(TypeError(format!(
@@ -632,17 +771,13 @@ impl<'a> Inferencer<'a> {
                             fields.len()
                         )));
                     }
-                    let n = self.scopes.len();
                     for (b, t) in alt.binders.iter().zip(fields) {
-                        self.scopes.push((*b, Scheme::mono(t)));
+                        self.push_local(*b, Scheme::mono(t));
                     }
-                    let t = self.infer(&alt.rhs);
-                    self.scopes.truncate(n);
-                    self.unify(&t?, &tresult)?;
-                    continue;
                 }
             }
             let t = self.infer(&alt.rhs)?;
+            self.pop_locals(mark);
             self.unify(&t, &tresult)?;
         }
         Ok(tresult)
@@ -662,9 +797,9 @@ impl<'a> Inferencer<'a> {
         inferred: Scheme,
         sig: &SType,
     ) -> Result<(), TypeError> {
-        let mut mapping: HashMap<Symbol, Type> = HashMap::new();
+        let mut mapping = Vec::new();
         let declared = skolemize(sig, &mut mapping, &mut self.next_skolem);
-        let got = self.instantiate(&inferred);
+        let got = instantiate(&inferred, &mut self.slots, self.level);
         self.unify(&got, &declared).map_err(|e| {
             TypeError(format!(
                 "signature for '{name}' does not match inferred type {}: {}",
@@ -674,56 +809,97 @@ impl<'a> Inferencer<'a> {
     }
 }
 
+/// A fresh instance of `s`, its quantified variables replaced by new
+/// variables at `level`.
+fn instantiate(s: &Scheme, slots: &mut Vec<Slot>, level: u32) -> Type {
+    if s.vars.is_empty() {
+        return s.ty.clone();
+    }
+    let fresh: Vec<Type> = s.vars.iter().map(|_| new_var(slots, level)).collect();
+    fn go(t: &Type, vars: &[TyVar], fresh: &[Type]) -> Type {
+        match t {
+            Type::Var(v) => match vars.iter().position(|q| q == v) {
+                Some(i) => fresh[i].clone(),
+                None => t.clone(),
+            },
+            Type::Fun(a, b) => Type::fun(go(a, vars, fresh), go(b, vars, fresh)),
+            Type::Con(c, args) => Type::Con(*c, args.iter().map(|a| go(a, vars, fresh)).collect()),
+            other => other.clone(),
+        }
+    }
+    go(&s.ty, &s.vars, &fresh)
+}
+
+/// A new unbound variable at `level`.
+fn new_var(slots: &mut Vec<Slot>, level: u32) -> Type {
+    let v = TyVar(u32::try_from(slots.len()).expect("type variables fit in u32"));
+    slots.push(Slot::Unbound(level));
+    Type::Var(v)
+}
+
 /// Converts a surface type, mapping type variables through `mapping`.
-fn stype_to_type(t: &SType, mapping: &HashMap<Symbol, Type>) -> Type {
+fn stype_to_type(t: &SType, mapping: &[(Symbol, Type)]) -> Type {
     match t {
-        SType::Var(v) => mapping.get(v).cloned().unwrap_or(Type::con0("Unit")),
+        SType::Var(v) => mapping
+            .iter()
+            .find(|(p, _)| p == v)
+            .map_or_else(Type::unit, |(_, t)| t.clone()),
         SType::Fun(a, b) => Type::fun(stype_to_type(a, mapping), stype_to_type(b, mapping)),
         SType::List(t) => Type::list(stype_to_type(t, mapping)),
-        SType::Tuple(items) => {
-            let name = if items.len() == 2 { "Pair" } else { "Triple" };
-            Type::Con(
-                Symbol::intern(name),
-                items.iter().map(|i| stype_to_type(i, mapping)).collect(),
-            )
-        }
-        SType::Con(c, args) => match c.as_str().as_str() {
-            "Int" if args.is_empty() => Type::Int,
-            "Char" if args.is_empty() => Type::Char,
-            "Str" if args.is_empty() => Type::Str,
-            _ => Type::Con(*c, args.iter().map(|a| stype_to_type(a, mapping)).collect()),
-        },
+        SType::Tuple(items) => Type::Con(
+            tuple_name(items.len()),
+            items.iter().map(|i| stype_to_type(i, mapping)).collect(),
+        ),
+        SType::Con(c, args) => base_type(*c, args).unwrap_or_else(|| {
+            Type::Con(*c, args.iter().map(|a| stype_to_type(a, mapping)).collect())
+        }),
     }
 }
 
 /// Converts a signature, giving each type variable a rigid skolem.
-fn skolemize(t: &SType, mapping: &mut HashMap<Symbol, Type>, next: &mut u32) -> Type {
+fn skolemize(t: &SType, mapping: &mut Vec<(Symbol, Type)>, next: &mut u32) -> Type {
     match t {
-        SType::Var(v) => mapping
-            .entry(*v)
-            .or_insert_with(|| {
-                let s = Type::Skolem(*next);
-                *next += 1;
-                s
-            })
-            .clone(),
+        SType::Var(v) => {
+            if let Some((_, s)) = mapping.iter().find(|(p, _)| p == v) {
+                return s.clone();
+            }
+            let s = Type::Skolem(*next);
+            *next += 1;
+            mapping.push((*v, s.clone()));
+            s
+        }
         SType::Fun(a, b) => Type::fun(skolemize(a, mapping, next), skolemize(b, mapping, next)),
         SType::List(t) => Type::list(skolemize(t, mapping, next)),
-        SType::Tuple(items) => {
-            let name = if items.len() == 2 { "Pair" } else { "Triple" };
+        SType::Tuple(items) => Type::Con(
+            tuple_name(items.len()),
+            items.iter().map(|i| skolemize(i, mapping, next)).collect(),
+        ),
+        SType::Con(c, args) => base_type(*c, args).unwrap_or_else(|| {
             Type::Con(
-                Symbol::intern(name),
-                items.iter().map(|i| skolemize(i, mapping, next)).collect(),
-            )
-        }
-        SType::Con(c, args) => match c.as_str().as_str() {
-            "Int" if args.is_empty() => Type::Int,
-            "Char" if args.is_empty() => Type::Char,
-            "Str" if args.is_empty() => Type::Str,
-            _ => Type::Con(
                 *c,
                 args.iter().map(|a| skolemize(a, mapping, next)).collect(),
-            ),
-        },
+            )
+        }),
+    }
+}
+
+/// The type constructor of an `n`-tuple.
+fn tuple_name(n: usize) -> Symbol {
+    if n == 2 {
+        names().pair
+    } else {
+        names().triple
+    }
+}
+
+/// `Int`, `Char` or `Str`, if that is what `c args` names.
+fn base_type(c: Symbol, args: &[SType]) -> Option<Type> {
+    let n = names();
+    match c {
+        _ if !args.is_empty() => None,
+        c if c == n.int => Some(Type::Int),
+        c if c == n.char => Some(Type::Char),
+        c if c == n.str => Some(Type::Str),
+        _ => None,
     }
 }

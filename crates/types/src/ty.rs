@@ -1,9 +1,47 @@
 //! Types, type schemes, and pretty-printing.
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 use urk_syntax::Symbol;
+
+/// The type-constructor names inference builds and compares on every
+/// program and query, interned once: [`Symbol::intern`] and
+/// [`Symbol::as_str`] take the process-wide interner lock, which every
+/// pool worker would otherwise contend on.
+pub(crate) struct Names {
+    pub(crate) int: Symbol,
+    pub(crate) char: Symbol,
+    pub(crate) str: Symbol,
+    pub(crate) bool: Symbol,
+    pub(crate) unit: Symbol,
+    pub(crate) exception: Symbol,
+    pub(crate) io: Symbol,
+    pub(crate) list: Symbol,
+    pub(crate) exval: Symbol,
+    pub(crate) mvar: Symbol,
+    pub(crate) pair: Symbol,
+    pub(crate) triple: Symbol,
+}
+
+/// The interned [`Names`].
+pub(crate) fn names() -> &'static Names {
+    static NAMES: OnceLock<Names> = OnceLock::new();
+    NAMES.get_or_init(|| Names {
+        int: Symbol::intern("Int"),
+        char: Symbol::intern("Char"),
+        str: Symbol::intern("Str"),
+        bool: Symbol::intern("Bool"),
+        unit: Symbol::intern("Unit"),
+        exception: Symbol::intern("Exception"),
+        io: Symbol::intern("IO"),
+        list: Symbol::intern("List"),
+        exval: Symbol::intern("ExVal"),
+        mvar: Symbol::intern("MVar"),
+        pair: Symbol::intern("Pair"),
+        triple: Symbol::intern("Triple"),
+    })
+}
 
 /// A unification variable.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -31,59 +69,39 @@ impl Type {
         Type::Fun(Box::new(a), Box::new(b))
     }
 
-    /// A nullary type constructor.
-    pub fn con0(name: &str) -> Type {
-        Type::Con(Symbol::intern(name), vec![])
-    }
-
     /// `Bool`.
     pub fn bool() -> Type {
-        Type::con0("Bool")
+        Type::Con(names().bool, vec![])
+    }
+
+    /// `Unit`.
+    pub fn unit() -> Type {
+        Type::Con(names().unit, vec![])
     }
 
     /// `Exception`.
     pub fn exception() -> Type {
-        Type::con0("Exception")
+        Type::Con(names().exception, vec![])
     }
 
     /// `IO t`.
     pub fn io(t: Type) -> Type {
-        Type::Con(Symbol::intern("IO"), vec![t])
+        Type::Con(names().io, vec![t])
     }
 
     /// `List t`.
     pub fn list(t: Type) -> Type {
-        Type::Con(Symbol::intern("List"), vec![t])
+        Type::Con(names().list, vec![t])
     }
 
     /// `ExVal t`.
     pub fn exval(t: Type) -> Type {
-        Type::Con(Symbol::intern("ExVal"), vec![t])
+        Type::Con(names().exval, vec![t])
     }
 
-    /// The free unification variables.
-    pub fn free_vars(&self) -> BTreeSet<TyVar> {
-        let mut out = BTreeSet::new();
-        self.free_vars_into(&mut out);
-        out
-    }
-
-    pub(crate) fn free_vars_into(&self, out: &mut BTreeSet<TyVar>) {
-        match self {
-            Type::Var(v) => {
-                out.insert(*v);
-            }
-            Type::Int | Type::Char | Type::Str | Type::Skolem(_) => {}
-            Type::Fun(a, b) => {
-                a.free_vars_into(out);
-                b.free_vars_into(out);
-            }
-            Type::Con(_, args) => {
-                for a in args {
-                    a.free_vars_into(out);
-                }
-            }
-        }
+    /// `MVar t`.
+    pub fn mvar(t: Type) -> Type {
+        Type::Con(names().mvar, vec![t])
     }
 
     /// True if the type mentions any skolem constant.
@@ -165,7 +183,7 @@ fn fmt_ty(t: &Type, order: &[TyVar], prec: u8, f: &mut fmt::Formatter<'_>) -> fm
             Ok(())
         }
         Type::Con(name, args) => {
-            if name.as_str() == "List" && args.len() == 1 {
+            if *name == names().list && args.len() == 1 {
                 f.write_str("[")?;
                 fmt_ty(&args[0], order, 0, f)?;
                 return f.write_str("]");
@@ -220,9 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn free_vars_and_skolems() {
+    fn skolems_are_detected() {
         let t = Type::fun(Type::Var(TyVar(1)), Type::Skolem(0));
-        assert_eq!(t.free_vars().len(), 1);
         assert!(t.has_skolem());
         assert!(!Type::Int.has_skolem());
     }
