@@ -1,19 +1,18 @@
 //! The whole-program abstract interpreter.
 //!
-//! [`analyze_program`] computes a [`Summary`] per top-level binding via a
-//! Mycroft-style fixpoint mirroring `urk-transform`'s strictness analysis:
-//! peel the manifest lambdas, start from an optimistic summary, and
-//! re-analyse every body against the current summaries until nothing
-//! changes. Two departures keep the optimism sound:
+//! [`analyze_program`] computes a [`Summary`] per top-level binding,
+//! peeling the manifest lambdas and analysing each body once, callees
+//! first, over the strongly connected components of the consultation
+//! graph (an edge `g → h` whenever `h` occurs free in `g`'s right-hand
+//! side). Two rules keep it sound:
 //!
 //! * **Divergence cannot be discovered optimistically** — `loop = loop`
 //!   would happily stabilise at "pure". Every binding on a cycle of the
-//!   syntactic consultation graph (an edge `g → h` whenever `h` occurs
-//!   free in `g`'s right-hand side) is therefore *pinned* to the bottom
-//!   effect (may raise anything, may diverge) before iteration starts.
-//!   Recursion-free Core terms terminate, so the optimistic start is
-//!   sound for everything that is left — an acyclic system on which the
-//!   rounds converge within its depth.
+//!   consultation graph (a component of several bindings, or one that
+//!   consults itself) is therefore *pinned* to the bottom effect (may
+//!   raise anything, may diverge). Recursion-free Core terms terminate,
+//!   so what is left is an acyclic system whose unique solution one
+//!   callee-first pass computes.
 //! * **Higher-order applications are opaque** — a lambda is WHNF-safe
 //!   but *applying* it can raise, so any application whose head is
 //!   neither a manifest lambda nor a known global summary falls to
@@ -25,6 +24,7 @@
 //! (`unsafeIsException` folding, known-value `case` selection) that would
 //! be wrong when the actual argument is exceptional.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -61,8 +61,6 @@ pub struct Analysis {
     pub summaries: HashMap<Symbol, Summary>,
     /// Bindings on a consultation-graph cycle, pinned to bottom.
     pub recursive: HashSet<Symbol>,
-    /// Fixpoint rounds actually run (diagnostics / benchmarking).
-    pub rounds: usize,
 }
 
 impl Analysis {
@@ -153,8 +151,15 @@ pub struct BindingFact {
     pub demands: Vec<bool>,
 }
 
-/// Analyse a whole binding group.
+/// Analyse a whole binding group: one pass over the consultation graph's
+/// strongly connected components, callees first. A component with more
+/// than one binding, or a binding that consults itself, is pinned to
+/// bottom; every other binding is analysed exactly once, against the
+/// finished summaries of its callees. With the cycles pinned the graph
+/// that remains is acyclic, so this is the fixpoint the optimistic
+/// iteration would reach.
 pub fn analyze_program(prog: &CoreProgram, data: &DataEnv) -> Analysis {
+    RUNS.with(|n| n.set(n.get() + 1));
     // Peel manifest lambdas: (name, params, body).
     let peeled: Vec<(Symbol, Vec<Symbol>, Rc<Expr>)> = prog
         .binds
@@ -170,37 +175,40 @@ pub fn analyze_program(prog: &CoreProgram, data: &DataEnv) -> Analysis {
         })
         .collect();
 
+    // A later definition of a name shadows an earlier one, as in the
+    // compiled image; nothing consults the shadowed one.
     let index: HashMap<Symbol, usize> = peeled
         .iter()
         .enumerate()
         .map(|(i, (n, _, _))| (*n, i))
         .collect();
 
-    // Consultation graph: g → h for every binding h free in g's rhs.
-    let succs: Vec<Vec<usize>> = prog
-        .binds
-        .iter()
-        .map(|(_, rhs)| {
-            rhs.free_vars()
-                .iter()
+    // Consultation graph: g → h for every binding h free in g's rhs, plus
+    // the parameters each body mentions (the optimistic `uses`).
+    let mut succs: Vec<Vec<usize>> = Vec::with_capacity(peeled.len());
+    let mut uses: Vec<Vec<bool>> = Vec::with_capacity(peeled.len());
+    for (_, params, body) in &peeled {
+        let fv = body.free_vars();
+        uses.push(params.iter().map(|p| fv.contains(p)).collect());
+        succs.push(
+            fv.iter()
+                .filter(|v| !params.contains(v))
                 .filter_map(|v| index.get(v).copied())
-                .collect()
-        })
-        .collect();
-
-    // Pin everything on a cycle (self-reachable) to bottom.
-    let mut recursive: HashSet<Symbol> = HashSet::new();
-    for (i, (name, _, _)) in peeled.iter().enumerate() {
-        if self_reachable(i, &succs) {
-            recursive.insert(*name);
-        }
+                .collect(),
+        );
     }
 
-    let mut summaries: HashMap<Symbol, Summary> = HashMap::new();
-    for (name, params, body) in &peeled {
-        if recursive.contains(name) {
-            summaries.insert(
-                *name,
+    let mut recursive: HashSet<Symbol> = HashSet::new();
+    let mut summaries: HashMap<Symbol, Summary> = HashMap::with_capacity(peeled.len());
+    for scc in sccs_callee_first(&succs) {
+        let cyclic = scc.len() > 1 || succs[scc[0]].contains(&scc[0]);
+        for i in scc {
+            let (name, params, body) = &peeled[i];
+            if index[name] != i {
+                continue;
+            }
+            let summary = if cyclic {
+                recursive.insert(*name);
                 Summary {
                     arity: params.len(),
                     body_effect: Effect::bottom(),
@@ -209,94 +217,97 @@ pub fn analyze_program(prog: &CoreProgram, data: &DataEnv) -> Analysis {
                     // on a cycle: pinned to all-false, which is always
                     // sound.
                     demands: vec![false; params.len()],
-                },
-            );
-        } else {
-            let fv = body.free_vars();
-            summaries.insert(
-                *name,
+                }
+            } else {
+                let an = Analyzer {
+                    data,
+                    summaries: &summaries,
+                };
+                let mut env: LEnv = params.iter().map(|p| (*p, Effect::opaque_arg())).collect();
+                let body_effect = an.effect(body, &mut env).normalize();
+                let dset = an.demanded(body, &mut Vec::new(), params);
                 Summary {
                     arity: params.len(),
-                    body_effect: Effect::pure(),
-                    uses: params.iter().map(|p| fv.contains(p)).collect(),
-                    // Pessimistic start: demand grows monotonically as the
-                    // rounds fill in callee demands (false stays sound).
-                    demands: vec![false; params.len()],
-                },
-            );
-        }
-    }
-
-    // Mycroft rounds over the (acyclic) remainder. Convergence within the
-    // graph depth; the cap is defensive only.
-    let max_rounds = peeled.len().max(8);
-    let mut rounds = 0;
-    let mut stable = false;
-    while rounds < max_rounds && !stable {
-        rounds += 1;
-        let mut next: Vec<(Symbol, Effect, Vec<bool>)> = Vec::new();
-        {
-            let an = Analyzer {
-                data,
-                summaries: &summaries,
-            };
-            for (name, params, body) in &peeled {
-                if recursive.contains(name) {
-                    continue;
+                    body_effect,
+                    uses: std::mem::take(&mut uses[i]),
+                    demands: params.iter().map(|p| dset.contains(p)).collect(),
                 }
-                let mut env: Vec<(Symbol, Effect)> =
-                    params.iter().map(|p| (*p, Effect::opaque_arg())).collect();
-                let be = an.effect(body, &mut env).normalize();
-                let dset = an.demanded(body, &mut Vec::new(), params);
-                let demands: Vec<bool> = params.iter().map(|p| dset.contains(p)).collect();
-                next.push((*name, be, demands));
-            }
-        }
-        stable = true;
-        for (name, be, demands) in next {
-            let slot = summaries.get_mut(&name).expect("summary exists");
-            if slot.body_effect != be || slot.demands != demands {
-                stable = false;
-                slot.body_effect = be;
-                slot.demands = demands;
-            }
-        }
-    }
-    if !stable {
-        // Defensive fallback (unreachable for an acyclic graph): keep
-        // only sound answers.
-        for (name, params, _) in &peeled {
-            if !recursive.contains(name) {
-                recursive.insert(*name);
-                let slot = summaries.get_mut(name).expect("summary exists");
-                slot.body_effect = Effect::bottom();
-                slot.uses = vec![true; params.len()];
-                slot.demands = vec![false; params.len()];
-            }
+            };
+            summaries.insert(*name, summary);
         }
     }
 
     Analysis {
         summaries,
         recursive,
-        rounds,
     }
 }
 
-/// Is node `i` on a cycle (reachable from itself)?
-fn self_reachable(i: usize, succs: &[Vec<usize>]) -> bool {
-    let mut seen = vec![false; succs.len()];
-    let mut stack: Vec<usize> = succs[i].clone();
-    while let Some(j) = stack.pop() {
-        if j == i {
-            return true;
+thread_local! {
+    static RUNS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times [`analyze_program`] has run on the calling thread, for
+/// tests and benches that pin how often a pipeline analyses a program.
+pub fn analyses_run() -> u64 {
+    RUNS.with(Cell::get)
+}
+
+/// The strongly connected components of `succs`, each emitted after every
+/// component it reaches (Tarjan's algorithm). The depth-first search keeps
+/// its own stack of `(node, next successor)` frames, so a consultation
+/// chain of any length costs no Rust stack.
+fn sccs_callee_first(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNSEEN: usize = usize::MAX;
+    let n = succs.len();
+    let mut order = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    let mut next = 0;
+    for root in 0..n {
+        if order[root] != UNSEEN {
+            continue;
         }
-        if !seen[j] {
-            seen[j] = true;
-            stack.extend(succs[j].iter().copied());
+        frames.push((root, 0));
+        while let Some(&(v, pos)) = frames.last() {
+            if pos == 0 && order[v] == UNSEEN {
+                order[v] = next;
+                low[v] = next;
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succs[v].get(pos) {
+                frames.last_mut().expect("frame").1 += 1;
+                if order[w] == UNSEEN {
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(order[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == order[v] {
+                let mut scc = Vec::new();
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    on_stack[w] = false;
+                    scc.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                sccs.push(scc);
+            }
         }
     }
-    false
+    sccs
 }
 
 /// Local environments: a scoped stack, innermost binding last.
@@ -767,7 +778,7 @@ impl Analyzer<'_> {
     ///
     /// Under-approximation is the soundness direction: every case that is
     /// not provable returns the empty set.
-    pub(crate) fn demanded(
+    pub fn demanded(
         &self,
         e: &Expr,
         env: &mut Vec<(Symbol, HashSet<Symbol>)>,

@@ -32,14 +32,15 @@
 //! to be inspected.
 //!
 //! Modules: [`effect`] is the abstract domain, [`analyze`] the
-//! whole-program Mycroft fixpoint, [`lint`] the `urk lint` diagnostics.
+//! whole-program callee-first summary pass, [`lint`] the `urk lint`
+//! diagnostics.
 
 pub mod analyze;
 pub mod effect;
 pub mod lint;
 pub mod validate;
 
-pub use analyze::{analyze_program, Analysis, BindingFact, Summary};
+pub use analyze::{analyses_run, analyze_program, Analysis, BindingFact, Summary};
 pub use effect::{Effect, Val};
 pub use lint::{lint_expr, lint_program, Diagnostic, LintCode};
 pub use validate::{audit_binding_facts, audit_binds, FactAudit, FactAuditError};

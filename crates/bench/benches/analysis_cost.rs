@@ -2,7 +2,7 @@
 //!
 //! Three prices are measured, all off the evaluation hot path:
 //!
-//! * `analyze`: the whole-program fixpoint (`analyze_program`) over the
+//! * `analyze`: the whole-program summary pass (`analyze_program`) over the
 //!   Prelude plus the lint demo program;
 //! * `lint`: a full `urk lint` pass (analysis plus the per-binding
 //!   diagnostic walk), as the CLI runs it;

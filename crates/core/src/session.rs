@@ -12,6 +12,7 @@ use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use urk_analysis::BindingFact;
 use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env as DEnv, ExnSet, Thunk};
 use urk_io::{
     run_denot, run_machine_node, AsyncSchedule, ExceptionOracle, RunOutcome, SeededOracle,
@@ -255,20 +256,20 @@ impl Session {
         let code = match tier {
             Tier::One => Arc::new(base),
             Tier::Two => {
-                let facts = self.tier2_facts();
-                let (t2, cert) = tier2_optimize_certified(&base, &facts);
+                // One analysis licenses the optimiser. With validation on,
+                // the audit re-analyses independently and refuses those
+                // very facts unless it reproduces them; the certificate is
+                // then discharged against the licence just proven.
+                let facts = self.analyze().binding_facts(&self.program.binds);
+                let licence = tier2_licence(&facts);
+                let (t2, cert) = tier2_optimize_certified(&base, &licence);
                 if self.options.validate_tier2 {
-                    // Audit the facts against a fresh analysis, then
-                    // discharge the certificate against freshly reshaped
-                    // facts — nothing the optimiser consumed is trusted.
-                    let claimed = self.analyze().binding_facts(&self.program.binds);
                     if let Err(e) =
-                        urk_analysis::audit_binding_facts(&self.program, &self.data, &claimed)
+                        urk_analysis::audit_binding_facts(&self.program, &self.data, &facts)
                     {
                         panic!("refusing to link an unvalidated tier-2 image: {e}");
                     }
-                    let fresh = tier2_facts_for(self.analyze(), &self.program.binds);
-                    if let Err(e) = validate_tier2(&base, &t2, &cert, &fresh) {
+                    if let Err(e) = validate_tier2(&base, &t2, &cert, &licence) {
                         panic!("refusing to link an unvalidated tier-2 image: {e}");
                     }
                 }
@@ -277,12 +278,6 @@ impl Session {
         };
         self.compiled.replace(Some((tier, Arc::clone(&code))));
         code
-    }
-
-    /// The analysis summaries of the session program in the shape the
-    /// tier-2 pass consumes: one fact per global, in program order.
-    fn tier2_facts(&self) -> Tier2Facts {
-        tier2_facts_for(self.analyze(), &self.program.binds)
     }
 
     /// Whether the program is already lowered *at the current tier* —
@@ -632,27 +627,31 @@ impl Session {
 /// Reshapes an exception-effect [`Analysis`](urk_analysis::Analysis) of
 /// `binds` into the machine's tier-2 licence — the mapping every tier-2
 /// consumer (the session, the fuzz context, the bench harness) applies.
-/// `whnf_safe` (empty exception set, no divergence, no opacity) is the
-/// license to substitute an arity-0 binding's constant value; `Con`
-/// constants are dropped because the flat image only carries literal
-/// operands.
 pub fn tier2_facts_for(
     analysis: urk_analysis::Analysis,
     binds: &[(Symbol, Rc<Expr>)],
 ) -> Tier2Facts {
+    tier2_licence(&analysis.binding_facts(binds))
+}
+
+/// Reshapes positional binding facts into the machine's tier-2 licence.
+/// `whnf_safe` (empty exception set, no divergence, no opacity) is the
+/// license to substitute an arity-0 binding's constant value; `Con`
+/// constants are dropped because the flat image only carries literal
+/// operands.
+fn tier2_licence(facts: &[BindingFact]) -> Tier2Facts {
     Tier2Facts {
-        globals: analysis
-            .binding_facts(binds)
-            .into_iter()
+        globals: facts
+            .iter()
             .map(|f| GlobalFact {
                 whnf_safe: f.whnf_safe,
-                value: f.val.and_then(|v| match v {
-                    urk_analysis::Val::Int(i) => Some(FactVal::Int(i)),
-                    urk_analysis::Val::Char(c) => Some(FactVal::Char(c)),
+                value: f.val.as_ref().and_then(|v| match v {
+                    urk_analysis::Val::Int(i) => Some(FactVal::Int(*i)),
+                    urk_analysis::Val::Char(c) => Some(FactVal::Char(*c)),
                     urk_analysis::Val::Str(s) => Some(FactVal::Str(s.to_string())),
                     urk_analysis::Val::Con(_) => None,
                 }),
-                demands: f.demands,
+                demands: f.demands.clone(),
             })
             .collect(),
     }

@@ -16,10 +16,12 @@
 //!   demanded ones — the walker re-derives the context from the op shapes
 //!   alone, so a speculation site that would *propagate* a raise instead
 //!   of storing it cannot be mis-filed.
-//! * **Constants are re-checked against a fresh fact.** `ConstSubst`
-//!   entries are discharged against a freshly computed [`Tier2Facts`]
-//!   (the caller recomputes the analysis), never the fact the compiler
-//!   stored — a corrupted licence is caught before any execution.
+//! * **Constants are re-checked against an audited fact.** `ConstSubst`
+//!   entries are discharged against the [`Tier2Facts`] the caller passes,
+//!   never the value the compiler stored in the image. The caller must
+//!   first have proven that licence reproducible by an independent
+//!   re-analysis (`urk-analysis`'s `audit_binding_facts`), so a corrupted
+//!   licence is caught before any execution.
 //! * **The §3.5 Seeded draw-stream exclusion is enforced.** Substituted
 //!   constants must mirror a source body that is *already* that literal
 //!   (no draw is erased), and `SpecCall` inlining may duplicate its
@@ -93,13 +95,13 @@ enum Ctx {
 
 /// Validates one tier-2 compilation: `t2` must be derivable from `base`
 /// via exactly the transforms `cert` records, with every licence
-/// re-discharged against `fresh` — facts the caller recomputed for this
-/// call, never the ones the optimiser consumed.
+/// re-discharged against `facts` — a licence the caller has audited
+/// against an independent re-analysis of the program.
 pub fn validate_tier2(
     base: &Code,
     t2: &Code,
     cert: &Tier2Cert,
-    fresh: &Tier2Facts,
+    facts: &Tier2Facts,
 ) -> Result<ValidationReport, ValidationError> {
     // Step 0: the destination image must pass the structural verifier on
     // its own terms (acyclicity, arities, region grammar, lexical depth).
@@ -133,7 +135,7 @@ pub fn validate_tier2(
         cert,
         cert_map,
         used: vec![false; cert.entries.len()],
-        facts: fresh,
+        facts,
         ics: Vec::new(),
         report: ValidationReport::default(),
     };

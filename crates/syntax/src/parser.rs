@@ -13,7 +13,9 @@ use crate::layout::layout;
 use crate::lexer::lex;
 use crate::token::{Pos, Spanned, Tok};
 use crate::Symbol;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A parse error with its source position.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -101,20 +103,51 @@ pub fn parse_expr_src(src: &str) -> Result<SExpr, SyntaxError> {
     Ok(e)
 }
 
-/// Operator fixity: (precedence, right-associative?).
-fn fixity(op: &str) -> Option<(u8, bool)> {
-    Some(match op {
-        "." => (9, true),
-        "*" | "/" | "%" => (7, false),
-        "+" | "-" => (6, false),
-        ":" | "++" => (5, true),
-        "==" | "/=" | "<" | "<=" | ">" | ">=" => (4, false),
-        "&&" => (3, true),
-        "||" => (2, true),
-        ">>" | ">>=" => (1, false),
-        "$" => (0, true),
-        _ => return None,
+/// The operator symbols the parser compares tokens against, interned
+/// once: [`Symbol::as_str`] takes the process-wide interner lock and
+/// allocates, which every operator token would otherwise pay.
+struct Ops {
+    /// Fixity of each infix operator: (precedence, right-associative?).
+    fixities: HashMap<Symbol, (u8, bool)>,
+    minus: Symbol,
+    cons: Symbol,
+    dotdot: Symbol,
+}
+
+/// The interned [`Ops`].
+fn ops() -> &'static Ops {
+    static OPS: OnceLock<Ops> = OnceLock::new();
+    OPS.get_or_init(|| {
+        let groups: [(&[&str], u8, bool); 9] = [
+            (&["."], 9, true),
+            (&["*", "/", "%"], 7, false),
+            (&["+", "-"], 6, false),
+            (&[":", "++"], 5, true),
+            (&["==", "/=", "<", "<=", ">", ">="], 4, false),
+            (&["&&"], 3, true),
+            (&["||"], 2, true),
+            (&[">>", ">>="], 1, false),
+            (&["$"], 0, true),
+        ];
+        Ops {
+            fixities: groups
+                .iter()
+                .flat_map(|&(names, prec, right)| {
+                    names
+                        .iter()
+                        .map(move |op| (Symbol::intern(op), (prec, right)))
+                })
+                .collect(),
+            minus: Symbol::intern("-"),
+            cons: Symbol::intern(":"),
+            dotdot: Symbol::intern(".."),
+        }
     })
+}
+
+/// Operator fixity: (precedence, right-associative?).
+fn fixity(op: Symbol) -> Option<(u8, bool)> {
+    ops().fixities.get(&op).copied()
 }
 
 struct Parser {
@@ -184,8 +217,8 @@ impl Parser {
         }
     }
 
-    fn is_op(&self, name: &str) -> bool {
-        matches!(self.peek(), Tok::Op(s) if s.as_str() == name)
+    fn is_op(&self, op: Symbol) -> bool {
+        matches!(self.peek(), Tok::Op(s) if *s == op)
     }
 
     // ------------------------------------------------------------------
@@ -445,7 +478,7 @@ impl Parser {
     /// A full pattern: constructor applications and infix cons.
     fn pat(&mut self) -> Result<Pat, ParseError> {
         let head = self.pat10()?;
-        if self.is_op(":") {
+        if self.is_op(ops().cons) {
             self.bump();
             let tail = self.pat()?;
             Ok(Pat::ConsInfix(Box::new(head), Box::new(tail)))
@@ -490,7 +523,7 @@ impl Parser {
                 self.bump();
                 Ok(Pat::Str(s))
             }
-            Tok::Op(o) if o.as_str() == "-" && matches!(self.peek_at(1), Tok::Int(_)) => {
+            Tok::Op(o) if o == ops().minus && matches!(self.peek_at(1), Tok::Int(_)) => {
                 self.bump();
                 let Tok::Int(n) = self.bump() else {
                     unreachable!()
@@ -548,11 +581,16 @@ impl Parser {
 
     /// Precedence climbing over the fixity table.
     fn op_expr(&mut self, min_prec: u8) -> Result<SExpr, ParseError> {
-        let mut lhs = self.unary()?;
+        let lhs = self.unary()?;
+        self.op_expr_from(lhs, min_prec)
+    }
+
+    /// Precedence climbing from an already-parsed left operand.
+    fn op_expr_from(&mut self, mut lhs: SExpr, min_prec: u8) -> Result<SExpr, ParseError> {
         loop {
             let (op, prec, right) = match self.peek() {
                 Tok::Op(s) => {
-                    match fixity(&s.as_str()) {
+                    match fixity(*s) {
                         Some((p, r)) => (*s, p, r),
                         // Unknown operators (such as `..` inside a range, or
                         // a genuine typo) end the expression; the caller
@@ -588,7 +626,7 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<SExpr, ParseError> {
-        if self.is_op("-") {
+        if self.is_op(ops().minus) {
             self.bump();
             let e = self.unary()?;
             return Ok(SExpr::Neg(Box::new(e)));
@@ -693,14 +731,14 @@ impl Parser {
                 }
                 // `(+)` — an operator as a value; `(op e)` — a right
                 // section (except unary minus, which stays negation).
-                if let Tok::Op(o) = self.peek().clone() {
-                    if fixity(&o.as_str()).is_some() {
+                if let Tok::Op(o) = *self.peek() {
+                    if fixity(o).is_some() {
                         if *self.peek_at(1) == Tok::RParen {
                             self.bump();
                             self.bump();
                             return Ok(SExpr::OpSection(o));
                         }
-                        if o.as_str() != "-" {
+                        if o != ops().minus {
                             self.bump();
                             let e = self.expr()?;
                             self.expect(Tok::RParen)?;
@@ -709,25 +747,23 @@ impl Parser {
                     }
                 }
                 // `(e op)` — a left section; the lhs is an application
-                // spine (operator-free). Backtrack if the shape is not a
-                // section.
-                {
-                    let save = self.pos;
-                    if self.starts_atom() {
-                        if let Ok(lhs) = self.app_expr() {
-                            if let Tok::Op(o) = self.peek().clone() {
-                                if fixity(&o.as_str()).is_some() && *self.peek_at(1) == Tok::RParen
-                                {
-                                    self.bump();
-                                    self.bump();
-                                    return Ok(SExpr::SectionL(Box::new(lhs), o));
-                                }
-                            }
+                // spine (operator-free). Otherwise that spine is already
+                // the left operand of the parenthesised expression (`-`
+                // does not start an atom, so `expr` would parse the same
+                // spine first): climb on from it, parsing each token once.
+                let first = if self.starts_atom() {
+                    let lhs = self.app_expr()?;
+                    if let Tok::Op(o) = *self.peek() {
+                        if fixity(o).is_some() && *self.peek_at(1) == Tok::RParen {
+                            self.bump();
+                            self.bump();
+                            return Ok(SExpr::SectionL(Box::new(lhs), o));
                         }
                     }
-                    self.pos = save;
-                }
-                let first = self.expr()?;
+                    self.op_expr_from(lhs, 0)?
+                } else {
+                    self.expr()?
+                };
                 if self.eat(&Tok::Comma) {
                     let mut items = vec![first, self.expr()?];
                     while self.eat(&Tok::Comma) {
@@ -749,7 +785,7 @@ impl Parser {
                     return Ok(SExpr::List(vec![]));
                 }
                 let first = self.expr()?;
-                if self.is_op("..") {
+                if self.is_op(ops().dotdot) {
                     self.bump();
                     let hi = self.expr()?;
                     self.expect(Tok::RBracket)?;

@@ -18,15 +18,23 @@
 //!   need proofs, and validate as §4.5 identity-or-refinement;
 //! * `Code::verify` accepts every compiler-emitted arena for the corpus
 //!   programs (the reject side lives in the machine crate's sabotage
-//!   tests).
+//!   tests);
+//! * the callee-first `analyze_program` reaches exactly the fixpoint of
+//!   the round-based iteration kept here as a reference, on the Prelude,
+//!   every checked-in program, the bench workloads and random programs;
+//! * a validated tier-2 image analyses its program twice, an unvalidated
+//!   one once.
 
+use std::collections::HashMap;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use urk::{Session, Tier};
-use urk_analysis::analyze_program;
+use urk_analysis::{analyses_run, analyze_program, Analysis, Effect, Summary};
 use urk_denot::{Denot, DenotEvaluator, ExnSet};
 use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
@@ -345,5 +353,300 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Equivalence with the optimistic iteration.
+// ----------------------------------------------------------------------
+
+/// The round-based iteration `analyze_program` used to run, kept as a
+/// reference: pin every self-reachable binding to ⊥, start the rest at
+/// "pure", and re-analyse every body against the previous round's
+/// summaries until nothing changes (falling back to ⊥ everywhere if a
+/// round cap is hit). The callee-first pass must reach the same fixpoint.
+fn reference_analysis(prog: &CoreProgram, data: &DataEnv) -> Analysis {
+    let peeled: Vec<(Symbol, Vec<Symbol>, Rc<Expr>)> = prog
+        .binds
+        .iter()
+        .map(|(name, rhs)| {
+            let mut params = Vec::new();
+            let mut body = rhs.clone();
+            while let Expr::Lam(x, b) = &*body {
+                params.push(*x);
+                body = b.clone();
+            }
+            (*name, params, body)
+        })
+        .collect();
+    let index: HashMap<Symbol, usize> = peeled
+        .iter()
+        .enumerate()
+        .map(|(i, (n, _, _))| (*n, i))
+        .collect();
+    let succs: Vec<Vec<usize>> = prog
+        .binds
+        .iter()
+        .map(|(_, rhs)| {
+            rhs.free_vars()
+                .iter()
+                .filter_map(|v| index.get(v).copied())
+                .collect()
+        })
+        .collect();
+    let self_reachable = |i: usize| {
+        let mut seen = vec![false; succs.len()];
+        let mut stack: Vec<usize> = succs[i].clone();
+        while let Some(j) = stack.pop() {
+            if j == i {
+                return true;
+            }
+            if !seen[j] {
+                seen[j] = true;
+                stack.extend(succs[j].iter().copied());
+            }
+        }
+        false
+    };
+
+    let mut an = Analysis::default();
+    for (i, (name, params, body)) in peeled.iter().enumerate() {
+        let summary = if self_reachable(i) {
+            an.recursive.insert(*name);
+            Summary {
+                arity: params.len(),
+                body_effect: Effect::bottom(),
+                uses: vec![true; params.len()],
+                demands: vec![false; params.len()],
+            }
+        } else {
+            let fv = body.free_vars();
+            Summary {
+                arity: params.len(),
+                body_effect: Effect::pure(),
+                uses: params.iter().map(|p| fv.contains(p)).collect(),
+                demands: vec![false; params.len()],
+            }
+        };
+        an.summaries.insert(*name, summary);
+    }
+
+    let max_rounds = peeled.len().max(8);
+    let mut rounds = 0;
+    let mut stable = false;
+    while rounds < max_rounds && !stable {
+        rounds += 1;
+        let mut next: Vec<(Symbol, Effect, Vec<bool>)> = Vec::new();
+        {
+            let analyzer = an.analyzer(data);
+            for (name, params, body) in &peeled {
+                if an.recursive.contains(name) {
+                    continue;
+                }
+                let mut env: Vec<(Symbol, Effect)> =
+                    params.iter().map(|p| (*p, Effect::opaque_arg())).collect();
+                let be = analyzer.effect(body, &mut env).normalize();
+                let dset = analyzer.demanded(body, &mut Vec::new(), params);
+                let demands: Vec<bool> = params.iter().map(|p| dset.contains(p)).collect();
+                next.push((*name, be, demands));
+            }
+        }
+        stable = true;
+        for (name, be, demands) in next {
+            let slot = an.summaries.get_mut(&name).expect("summary exists");
+            if slot.body_effect != be || slot.demands != demands {
+                stable = false;
+                slot.body_effect = be;
+                slot.demands = demands;
+            }
+        }
+    }
+    if !stable {
+        for (name, params, _) in &peeled {
+            if !an.recursive.contains(name) {
+                an.recursive.insert(*name);
+                let slot = an.summaries.get_mut(name).expect("summary exists");
+                slot.body_effect = Effect::bottom();
+                slot.uses = vec![true; params.len()];
+                slot.demands = vec![false; params.len()];
+            }
+        }
+    }
+    an
+}
+
+/// `analyze_program` and the reference iteration agree on every summary,
+/// the recursive set, and the positional facts tier 2 consumes.
+fn assert_matches_reference(prog: &CoreProgram, data: &DataEnv, ctx: &str) {
+    let fast = analyze_program(prog, data);
+    let slow = reference_analysis(prog, data);
+    assert_eq!(
+        fast.recursive, slow.recursive,
+        "{ctx}: recursive sets differ"
+    );
+    assert_eq!(
+        fast.summaries.len(),
+        slow.summaries.len(),
+        "{ctx}: summary counts differ"
+    );
+    for (name, s) in &slow.summaries {
+        assert_eq!(
+            fast.summaries.get(name),
+            Some(s),
+            "{ctx}: summary of `{name}`"
+        );
+    }
+    assert_eq!(
+        fast.binding_facts(&prog.binds),
+        slow.binding_facts(&prog.binds),
+        "{ctx}: binding facts differ"
+    );
+}
+
+fn urk_files(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "urk"))
+        .collect();
+    paths.sort();
+    paths
+}
+
+#[test]
+fn the_single_pass_matches_the_iteration_on_every_checked_in_program() {
+    let prelude = Session::new();
+    assert_matches_reference(prelude.program(), prelude.data(), "the Prelude");
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = urk_files(&root.join("corpus"));
+    assert!(!files.is_empty(), "no checked-in corpus");
+    files.push(root.join("examples").join("lint_demo.urk"));
+    for path in &files {
+        let src = fs::read_to_string(path).expect("read program");
+        let mut session = Session::new();
+        session
+            .load(&src)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_matches_reference(
+            session.program(),
+            session.data(),
+            &path.display().to_string(),
+        );
+    }
+
+    let mut workloads = urk_bench::workloads();
+    workloads.push(urk_bench::pipeline_workload());
+    for w in &workloads {
+        let c = urk_bench::compile(w);
+        assert_matches_reference(&c.program, &c.data, w.name);
+    }
+}
+
+/// The program generator's global names; calls may target any of them,
+/// so programs mix chains, self-loops, mutual recursion and dead code.
+const GLOBALS: [&str; 6] = ["ga", "gb", "gc", "gd", "ge", "gf"];
+const PARAMS: [&str; 2] = ["qa", "qb"];
+
+/// A call `g a1 .. ak` with 0–3 arguments: partial, saturated or
+/// over-saturated depending on `g`'s arity.
+fn gen_call(scope: Vec<Symbol>) -> BoxedStrategy<Expr> {
+    let arg = move || gen_int(1, scope.clone());
+    (0..GLOBALS.len(), 0..4usize, arg(), arg(), arg())
+        .prop_map(|(g, n, a, b, c)| {
+            Expr::apps(Expr::var(GLOBALS[g]), [a, b, c].into_iter().take(n))
+        })
+        .boxed()
+}
+
+/// Wraps `acc` around a call in a strict, lazy or case context, or leaves
+/// it alone (`how` 4 and up).
+fn with_call(acc: Expr, call: Expr, how: u8) -> Expr {
+    match how {
+        0 => Expr::prim(PrimOp::Add, [acc, call]),
+        1 => Expr::prim(PrimOp::Seq, [call, acc]),
+        2 => Expr::let_("lz", call, acc),
+        3 => Expr::case(
+            Expr::prim(PrimOp::IntLt, [call, Expr::Int(3)]),
+            vec![
+                Alt::con("True", vec![], acc.clone()),
+                Alt::con("False", vec![], acc),
+            ],
+        ),
+        _ => acc,
+    }
+}
+
+/// One binding: `\params -> body` where the body combines a random term
+/// over the parameters with up to three calls.
+fn gen_binding(name: &'static str) -> BoxedStrategy<(Symbol, Rc<Expr>)> {
+    (0..PARAMS.len() + 1)
+        .prop_flat_map(move |arity| {
+            let params: Vec<Symbol> = PARAMS[..arity].iter().map(|p| Symbol::intern(p)).collect();
+            let call = || (gen_call(params.clone()), 0..6u8);
+            (
+                Just(params.clone()),
+                gen_int(2, params.clone()),
+                call(),
+                call(),
+                call(),
+            )
+        })
+        .prop_map(move |(params, base, c0, c1, c2)| {
+            let body = [c0, c1, c2]
+                .into_iter()
+                .fold(base, |acc, (call, how)| with_call(acc, call, how));
+            (Symbol::intern(name), Rc::new(Expr::lams(params, body)))
+        })
+        .boxed()
+}
+
+fn gen_program() -> BoxedStrategy<CoreProgram> {
+    let binds = (
+        gen_binding(GLOBALS[0]),
+        gen_binding(GLOBALS[1]),
+        gen_binding(GLOBALS[2]),
+        gen_binding(GLOBALS[3]),
+        gen_binding(GLOBALS[4]),
+        gen_binding(GLOBALS[5]),
+    );
+    (1..GLOBALS.len() + 1, binds)
+        .prop_map(|(n, (a, b, c, d, e, f))| CoreProgram {
+            binds: [a, b, c, d, e, f].into_iter().take(n).collect(),
+            sigs: Vec::new(),
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random call graphs: the single pass reaches the iteration's
+    /// fixpoint whatever the shape of the consultation graph.
+    #[test]
+    fn the_single_pass_matches_the_iteration_on_random_programs(prog in gen_program()) {
+        assert_matches_reference(&prog, &DataEnv::new(), "random program");
+    }
+}
+
+/// A validated tier-2 image runs two analyses (the optimiser's licence
+/// and the audit's independent re-analysis of it); an unvalidated one
+/// runs only the optimiser's.
+#[test]
+fn a_tier2_image_analyses_once_plus_once_to_audit() {
+    for (validate, expected) in [(true, 2), (false, 1)] {
+        let mut session = Session::new();
+        session.options.tier = Tier::Two;
+        session.options.validate_tier2 = validate;
+        session
+            .load("sq x = x * x\nk = sq 7\nmain = k + 1")
+            .expect("loads");
+        let before = analyses_run();
+        session.compiled_code();
+        assert_eq!(
+            analyses_run() - before,
+            expected,
+            "validate_tier2 = {validate}"
+        );
     }
 }
